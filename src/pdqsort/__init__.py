@@ -2,11 +2,15 @@
 
 An in-place, unstable hybrid of quicksort, insertion sort and heapsort:
 tripartite handling of equal elements through paired partition kernels, a
-bad-partition budget with deterministic pattern breaking, an optimistic
-linear path for nearly sorted inputs, and an optional block-based
-branch-free partitioner. Every heuristic is individually toggleable via
-:class:`SortConfig`. The ``pdqsort`` CLI adds benchmark, input-generation,
-entropy-table and verification commands.
+bad-partition budget with deterministic pattern breaking, and an
+optimistic linear path for nearly sorted inputs. Every heuristic is
+individually toggleable via :class:`SortConfig`, including the paper's
+block partitioner, which is off by default because under CPython it is
+slower than the scalar one. The ``pdqsort`` CLI adds benchmark,
+input-generation, entropy-table and verification commands.
+
+``__all__`` lists the public surface. The kernels, ``BlockBuffers`` and
+``PartitionResult`` stay importable from here for tests and benchmarks.
 """
 
 from .datagen import (
@@ -52,33 +56,19 @@ from .small_sorts import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockBuffers",
     "DEFAULT_CONFIG",
     "DISTRIBUTION_KINDS",
     "DistributionSpec",
     "ELEMENT_TYPES",
-    "METRIC_FIELDS",
     "Metrics",
-    "PartitionResult",
     "SortConfig",
     "adversary_input",
     "array_digest",
-    "block_partition_right",
-    "break_patterns",
-    "choose_pivot",
     "counting_ordering",
     "generate",
-    "heapsort",
-    "insertion_sort",
     "instrumented_sort",
     "introsort_baseline",
-    "is_bad_partition",
-    "partial_insertion_sort",
-    "partition_left",
-    "partition_right",
     "sort",
-    "sort3",
     "sort_with",
     "sort_with_config",
-    "unguarded_insertion_sort",
 ]

@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .bench import TIMING_COLUMNS, slowdown_table
+from .bench import ALGORITHMS, TIMING_COLUMNS, slowdown_table
 from .datagen import DISTRIBUTION_KINDS, DistributionSpec, SplitMix64, generate
 from .driver import DEFAULT_CONFIG, sort_with_config
 from .instrumentation import Metrics, adversary_input, counting_ordering, instrumented_sort
@@ -34,7 +34,12 @@ TOGGLE_FIELDS = (
     "use_partial_insertion",
 )
 
-_SCALAR_CONFIG = replace(DEFAULT_CONFIG, use_block_partition=False)
+# The two partition kernels a gate runs over: the default scalar one and
+# the block ablation.
+KERNEL_CONFIGS = (
+    ("scalar", DEFAULT_CONFIG),
+    ("block", replace(DEFAULT_CONFIG, use_block_partition=True)),
+)
 
 
 @dataclass
@@ -79,7 +84,7 @@ def criterion_correctness_sweep(quick: bool = False) -> CriterionResult:
                 expected = sorted(arr)
                 for cfg in configs:
                     work = list(arr)
-                    sort_with_config(work, operator.lt, cfg, branch_cheap=True)
+                    sort_with_config(work, operator.lt, cfg)
                     sorts += 1
                     if work != expected:
                         failures.append((kind, etype, n, cfg))
@@ -92,7 +97,7 @@ def criterion_correctness_sweep(quick: bool = False) -> CriterionResult:
         expected = sorted(arr)
         for cfg in configs:
             work = list(arr)
-            sort_with_config(work, operator.lt, cfg, branch_cheap=True)
+            sort_with_config(work, operator.lt, cfg)
             sorts += 1
             if work != expected:
                 failures.append(("random", t, n, cfg))
@@ -216,22 +221,22 @@ def criterion_linear_duplicates(quick: bool = False) -> CriterionResult:
     exps = range(14, 20) if not quick else range(10, 15)
     problems = []
     detail_parts = []
-    for kind in ("mod8", "ones"):
+    for (label, cfg), kind in itertools.product(KERNEL_CONFIGS, ("mod8", "ones")):
         counts = {}
         for e in exps:
             n = 2**e
             arr = generate(DistributionSpec(kind, n, "int64", seed=3))
-            m = instrumented_sort(arr)
+            m = instrumented_sort(arr, config=cfg)
             if arr != sorted(arr):
-                problems.append(f"{kind} n=2^{e} unsorted")
+                problems.append(f"{kind}/{label} n=2^{e} unsorted")
             counts[n] = m.comparisons
             if kind == "ones" and m.comparisons > 8 * n:
-                problems.append(f"ones n=2^{e}: {m.comparisons} > 8n")
+                problems.append(f"ones/{label} n=2^{e}: {m.comparisons} > 8n")
         ratios = [counts[2 ** (e + 1)] / counts[2**e] for e in list(exps)[:-1]]
         for e, r in zip(exps, ratios):
             if not 1.8 <= r <= 2.4:
-                problems.append(f"{kind} ratio 2^{e + 1}/2^{e} = {r:.3f}")
-        detail_parts.append(f"{kind} ratios {['%.2f' % r for r in ratios]}")
+                problems.append(f"{kind}/{label} ratio 2^{e + 1}/2^{e} = {r:.3f}")
+        detail_parts.append(f"{kind}/{label} ratios {['%.2f' % r for r in ratios]}")
     dt = time.perf_counter() - t0
     details = "; ".join(detail_parts) + f"; {dt:.1f}s"
     if problems:
@@ -249,17 +254,19 @@ def criterion_pivot_reuse(quick: bool = False) -> CriterionResult:
         n = rng.randint(1, 512)
         k = rng.randint(1, 8)
         arr = [rng.randrange(k) for _ in range(n)]
-        m = instrumented_sort(arr, trace_pivots=True)
-        reuse = m.distinct_pivot_reuse or {}
-        worst = max(reuse.values(), default=0)
-        if worst > 2:
-            violations.append(f"trial {t}: value picked {worst} times")
-        partitions = m.partition_right_calls + m.partition_left_calls
-        if partitions > 2 * k + m.heapsort_fallbacks:
-            violations.append(f"trial {t}: {partitions} partitions for k={k}")
-        if arr != sorted(arr):
-            violations.append(f"trial {t}: unsorted")
-    details = f"{trials} trials, {len(violations)} violations"
+        for label, cfg in KERNEL_CONFIGS:
+            work = list(arr)
+            m = instrumented_sort(work, config=cfg, trace_pivots=True)
+            reuse = m.distinct_pivot_reuse or {}
+            worst = max(reuse.values(), default=0)
+            if worst > 2:
+                violations.append(f"trial {t}/{label}: value picked {worst} times")
+            partitions = m.partition_right_calls + m.partition_left_calls
+            if partitions > 2 * k + m.heapsort_fallbacks:
+                violations.append(f"trial {t}/{label}: {partitions} partitions for k={k}")
+            if work != sorted(arr):
+                violations.append(f"trial {t}/{label}: unsorted")
+    details = f"{trials} trials on each kernel, {len(violations)} violations"
     if violations:
         details += f"; first: {violations[0]}"
     return CriterionResult(4, "pivot reuse bound", not violations, True, details)
@@ -281,22 +288,22 @@ def criterion_linear_patterns(quick: bool = False) -> CriterionResult:
     }
     problems = []
     detail_parts = []
-    for name, build in cases.items():
+    for (label, cfg), (name, build) in itertools.product(KERNEL_CONFIGS, cases.items()):
         counts = {}
         for e in exps:
             n = 2**e
             arr = build(n)
-            m = instrumented_sort(arr)
+            m = instrumented_sort(arr, config=cfg)
             if arr != sorted(arr):
-                problems.append(f"{name} n=2^{e} unsorted")
+                problems.append(f"{name}/{label} n=2^{e} unsorted")
             counts[n] = m.comparisons
             if m.comparisons > 6 * n:
-                problems.append(f"{name} n=2^{e}: {m.comparisons} > 6n={6 * n}")
+                problems.append(f"{name}/{label} n=2^{e}: {m.comparisons} > 6n={6 * n}")
         ratios = [counts[2 ** (e + 1)] / counts[2**e] for e in list(exps)[:-1]]
         for e, r in zip(exps, ratios):
             if r > 2.4:
-                problems.append(f"{name} ratio 2^{e + 1}/2^{e} = {r:.3f}")
-        detail_parts.append(f"{name} max c/n {max(counts[n] / n for n in counts):.2f}")
+                problems.append(f"{name}/{label} ratio 2^{e + 1}/2^{e} = {r:.3f}")
+        detail_parts.append(f"{name}/{label} max c/n {max(counts[n] / n for n in counts):.2f}")
     dt = time.perf_counter() - t0
     details = "; ".join(detail_parts) + f"; {dt:.1f}s"
     if problems:
@@ -314,28 +321,25 @@ def criterion_worst_case(quick: bool = False) -> CriterionResult:
     for e in exps:
         n = 2**e
         bound = 20 * n * math.log2(n)
-        adv = adversary_input(n, _SCALAR_CONFIG)
+        adv = adversary_input(n)
         if sorted(adv) != list(range(n)):
             problems.append(f"adversary n=2^{e} not a permutation")
-        for label, cfg, cheap in (
-            ("scalar", _SCALAR_CONFIG, False),
-            ("block", DEFAULT_CONFIG, True),
-        ):
+        for label, cfg in KERNEL_CONFIGS:
             work = list(adv)
-            m = instrumented_sort(work, config=cfg, branch_cheap=cheap)
+            m = instrumented_sort(work, config=cfg)
             worst_ratio = max(worst_ratio, m.comparisons / (n * math.log2(n)))
             if work != list(range(n)):
                 problems.append(f"adversary/{label} n=2^{e} unsorted")
             if m.comparisons > bound:
                 problems.append(f"adversary/{label} n=2^{e}: {m.comparisons} > 20 n log2 n")
-        for kind in ("organ", "merge"):
+        for (label, cfg), kind in itertools.product(KERNEL_CONFIGS, ("organ", "merge")):
             arr = generate(DistributionSpec(kind, n, "int64", seed=11))
-            m = instrumented_sort(arr)
+            m = instrumented_sort(arr, config=cfg)
             worst_ratio = max(worst_ratio, m.comparisons / (n * math.log2(n)))
             if arr != sorted(arr):
-                problems.append(f"{kind} n=2^{e} unsorted")
+                problems.append(f"{kind}/{label} n=2^{e} unsorted")
             if m.comparisons > bound:
-                problems.append(f"{kind} n=2^{e}: {m.comparisons} > 20 n log2 n")
+                problems.append(f"{kind}/{label} n=2^{e}: {m.comparisons} > 20 n log2 n")
     dt = time.perf_counter() - t0
     details = f"worst comparisons/(n log2 n) = {worst_ratio:.2f} (gate 20); {dt:.1f}s"
     if problems:
@@ -349,18 +353,19 @@ def criterion_depth_bound(quick: bool = False) -> CriterionResult:
     problems = []
     tested = 0
 
-    def check(n, arr, **kwargs):
+    def check(n, arr):
         nonlocal tested
-        m = instrumented_sort(arr, **kwargs)
-        tested += 1
-        if m.max_depth > _depth_bound(n):
-            problems.append(f"n={n}: depth {m.max_depth} > {_depth_bound(n)}")
+        for label, cfg in KERNEL_CONFIGS:
+            m = instrumented_sort(list(arr), config=cfg)
+            tested += 1
+            if m.max_depth > _depth_bound(n):
+                problems.append(f"n={n}/{label}: depth {m.max_depth} > {_depth_bound(n)}")
 
     for kind in DISTRIBUTION_KINDS:
         for n in sizes:
             check(n, generate(DistributionSpec(kind, n, "int64", seed=21)))
     n_adv = 1 << 12
-    check(n_adv, adversary_input(n_adv, _SCALAR_CONFIG), config=_SCALAR_CONFIG, branch_cheap=False)
+    check(n_adv, adversary_input(n_adv))
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(0, 2000)
@@ -449,14 +454,12 @@ def criterion_performance_notes(quick: bool = False) -> CriterionResult:
     def timed(run):
         values = generate(spec)
         t0 = time.perf_counter()
-        run(values)
+        run(values, operator.lt, None)
         return time.perf_counter() - t0
 
-    from .bench import _run_baseline, _run_bpdq, _run_pdq
-
-    t_pdq = timed(_run_pdq)
-    t_bpdq = timed(_run_bpdq)
-    t_base = timed(_run_baseline)
+    t_pdq, t_bpdq, t_base = (
+        timed(ALGORITHMS[algo]) for algo in ("pdq", "bpdq", "introsort_baseline")
+    )
     details = (
         f"uniform-int64 n=2^{n.bit_length() - 1}: block/scalar speedup "
         f"{t_pdq / t_bpdq:.2f}x (compiled builds expect >= 1.2x; interpreted "

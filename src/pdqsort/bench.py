@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from .datagen import DistributionSpec, array_digest, generate
-from .driver import DEFAULT_CONFIG, _sort_range, introsort_baseline, sort_with_config
+from .driver import DEFAULT_CONFIG, _sort_range, introsort_baseline
 from .instrumentation import METRIC_FIELDS, Metrics, counting_ordering
 from .small_sorts import heapsort
 
@@ -80,79 +80,35 @@ class BenchmarkRecord:
         ]
 
 
-_PDQ_CONFIG = replace(DEFAULT_CONFIG, use_block_partition=False)
-_BPDQ_CONFIG = replace(DEFAULT_CONFIG, use_block_partition=True)
-_BASELINE_CONFIG = replace(DEFAULT_CONFIG, use_block_partition=False)
+_BLOCK_CONFIG = replace(DEFAULT_CONFIG, use_block_partition=True)
 
-
-def _run_pdq(values):
-    sort_with_config(values, operator.lt, _PDQ_CONFIG, branch_cheap=False)
-
-
-def _instr_pdq(values):
-    m = Metrics()
-    _sort_range(values, 0, len(values), counting_ordering(operator.lt, m), _PDQ_CONFIG, False, m)
-    return m
-
-
-def _run_bpdq(values):
-    sort_with_config(values, operator.lt, _BPDQ_CONFIG, branch_cheap=True)
-
-
-def _instr_bpdq(values):
-    m = Metrics()
-    # The counting wrapper is not branch-cheap, but the counters must
-    # describe the block variant, so force it on.
-    _sort_range(values, 0, len(values), counting_ordering(operator.lt, m), _BPDQ_CONFIG, True, m)
-    return m
-
-
-def _run_baseline(values):
-    introsort_baseline(values, operator.lt, _BASELINE_CONFIG, branch_cheap=False)
-
-
-def _instr_baseline(values):
-    m = Metrics()
-    introsort_baseline(
-        values, counting_ordering(operator.lt, m), _BASELINE_CONFIG, branch_cheap=False, metrics=m
-    )
-    return m
-
-
-def _run_heapsort(values):
-    heapsort(values)
-
-
-def _instr_heapsort(values):
-    m = Metrics()
-    heapsort(values, lt=counting_ordering(operator.lt, m), metrics=m)
-    return m
-
-
-_ALGORITHMS: dict[str, tuple[Callable, Callable]] = {
-    "pdq": (_run_pdq, _instr_pdq),
-    "bpdq": (_run_bpdq, _instr_bpdq),
-    "introsort_baseline": (_run_baseline, _instr_baseline),
-    "heapsort": (_run_heapsort, _instr_heapsort),
+# Each algorithm is one call (values, lt, metrics): timed with the plain
+# ordering and no metrics, counted with a counting ordering and Metrics.
+ALGORITHMS: dict[str, Callable] = {
+    "pdq": lambda v, lt, m: _sort_range(v, 0, len(v), lt, DEFAULT_CONFIG, m),
+    "bpdq": lambda v, lt, m: _sort_range(v, 0, len(v), lt, _BLOCK_CONFIG, m),
+    "introsort_baseline": lambda v, lt, m: introsort_baseline(v, lt, DEFAULT_CONFIG, m),
+    "heapsort": lambda v, lt, m: heapsort(v, 0, len(v), lt, m),
 }
 _ALGO_ALIASES = {"baseline": "introsort_baseline"}
 
 
 def algorithm_names() -> tuple:
-    return tuple(_ALGORITHMS)
+    return tuple(ALGORITHMS)
 
 
 def resolve_algo(name: str) -> str:
     canonical = _ALGO_ALIASES.get(name, name)
-    if canonical not in _ALGORITHMS:
-        raise UsageError(f"unknown algorithm: {name!r} (choose from {', '.join(_ALGORITHMS)})")
+    if canonical not in ALGORITHMS:
+        raise UsageError(f"unknown algorithm: {name!r} (choose from {', '.join(ALGORITHMS)})")
     return canonical
 
 
 def _instrumented_pass(algo: str, spec: DistributionSpec) -> tuple[Metrics, str]:
     values = generate(spec)
     digest = array_digest(values)
-    metrics = _ALGORITHMS[algo][1](values)
+    metrics = Metrics()
+    ALGORITHMS[algo](values, counting_ordering(operator.lt, metrics), metrics)
     return metrics, digest
 
 
@@ -166,14 +122,14 @@ def run_benchmark(
     records = []
     for spec in specs:
         for algo in canonical:
-            run = _ALGORITHMS[algo][0]
+            run = ALGORITHMS[algo]
             total_ns = 0
             iterations = 0
             min_ns = int(policy.min_time * 1e9)
             while total_ns < min_ns or iterations < policy.min_iterations:
                 values = generate(spec)
                 t0 = time.perf_counter_ns()
-                run(values)
+                run(values, operator.lt, None)
                 total_ns += time.perf_counter_ns() - t0
                 iterations += 1
             metrics, digest = _instrumented_pass(algo, spec)

@@ -4,7 +4,9 @@ Each call on a subrange either runs an insertion sort (small ranges),
 falls back to heapsort (exhausted bad-partition budget), or selects a
 pivot and partitions. Equal-to-predecessor pivots dispatch to
 partition_left, whose left partition needs no recursion; otherwise
-partition_right runs (block-based when the ordering is branch-cheap).
+partition_right runs, or block_partition_right when
+``SortConfig.use_block_partition`` is set (off by default: under CPython
+the block layout is slower, see the README).
 A partition leaving either side smaller than 2**-bad_partition_shift of
 the range is *bad*: it costs one unit of the log2(n) budget and the pivot
 candidates of both children are swapped with quartile elements to break
@@ -57,7 +59,7 @@ class SortConfig:
     partial_insertion_budget: int = 8
     block_size: int = 64
     bad_partition_shift: int = 3
-    use_block_partition: bool = True
+    use_block_partition: bool = False
     use_partition_left: bool = True
     use_break_patterns: bool = True
     use_partial_insertion: bool = True
@@ -156,24 +158,23 @@ def break_patterns(
         metrics.exchanges += 2 * pairs
 
 
-def _default_branch_cheap(data, lt) -> bool:
-    """The built-in ordering over primitive numbers is branch-cheap;
-    caller-supplied relations must be declared so explicitly."""
-    if lt is not operator.lt:
-        return False
-    return len(data) == 0 or isinstance(data[0], (int, float))
-
-
 def _sort_range(
     data: MutableSequence,
     begin: int,
     end: int,
     lt: Ordering,
     config: SortConfig,
-    use_block: bool,
     metrics=None,
     pivot_trace=None,
+    depth_limit: bool = False,
 ) -> None:
+    """The one sort loop behind every entry point.
+
+    ``depth_limit=True`` turns the bad-partition budget into introsort's
+    depth limit: every partition spends one of 2*floor(log2 n) units and
+    no partition is judged bad. Only :func:`introsort_baseline` sets it.
+    """
+    use_block = config.use_block_partition
     insertion_threshold = config.insertion_threshold
     budget = config.partial_insertion_budget
     use_left = config.use_partition_left
@@ -232,7 +233,9 @@ def _sort_range(
             left_size = pivot_pos - begin
             right_size = end - (pivot_pos + 1)
 
-            if is_bad_partition(left_size, right_size, size, config):
+            if depth_limit:
+                bad_allowed -= 1
+            elif is_bad_partition(left_size, right_size, size, config):
                 if metrics is not None:
                     metrics.bad_partitions += 1
                 bad_allowed -= 1
@@ -261,89 +264,39 @@ def _sort_range(
 
     n = end - begin
     bad_allowed = n.bit_length() - 1 if n > 0 else 0
+    if depth_limit:
+        bad_allowed *= 2
     loop(begin, end, bad_allowed, True, 0)
 
 
 def sort(data: MutableSequence, config: SortConfig = DEFAULT_CONFIG) -> None:
     """Sort ``data`` in place, ascending under ``<``. Not stable."""
-    use_block = config.use_block_partition and _default_branch_cheap(data, operator.lt)
-    _sort_range(data, 0, len(data), operator.lt, config, use_block)
+    _sort_range(data, 0, len(data), operator.lt, config)
 
 
-def sort_with(data: MutableSequence, lt: Ordering, branch_cheap: bool = False) -> None:
-    """Sort ``data`` in place under the strict weak ordering ``lt``.
-
-    Block partitioning only pays off when the ordering has no
-    data-dependent branches; pass ``branch_cheap=True`` to assert that.
-    """
-    sort_with_config(data, lt, DEFAULT_CONFIG, branch_cheap=branch_cheap)
+def sort_with(data: MutableSequence, lt: Ordering) -> None:
+    """Sort ``data`` in place under the strict weak ordering ``lt``."""
+    _sort_range(data, 0, len(data), lt, DEFAULT_CONFIG)
 
 
-def sort_with_config(
-    data: MutableSequence,
-    lt: Ordering,
-    config: SortConfig,
-    branch_cheap: Optional[bool] = None,
-) -> None:
+def sort_with_config(data: MutableSequence, lt: Ordering, config: SortConfig) -> None:
     """Sort ``data`` in place under ``lt`` with explicit tunables."""
-    if branch_cheap is None:
-        branch_cheap = _default_branch_cheap(data, lt)
-    use_block = config.use_block_partition and branch_cheap
-    _sort_range(data, 0, len(data), lt, config, use_block)
+    _sort_range(data, 0, len(data), lt, config)
 
 
 def introsort_baseline(
     data: MutableSequence,
     lt: Ordering = operator.lt,
     config: SortConfig = DEFAULT_CONFIG,
-    branch_cheap: Optional[bool] = None,
     metrics=None,
 ) -> None:
-    """Ablation baseline: same pivot selection and kernels, but with the
-    equal-element, pattern-breaking and optimistic heuristics disabled and
-    a plain depth-based heapsort fallback (limit 2*floor(log2 n))."""
+    """Ablation baseline: the same loop, pivot selection and kernels, but
+    with the equal-element, pattern-breaking and optimistic heuristics
+    off and a plain depth-based heapsort fallback (limit 2*floor(log2 n))."""
     cfg = replace(
         config,
         use_partition_left=False,
         use_break_patterns=False,
         use_partial_insertion=False,
     )
-    if branch_cheap is None:
-        branch_cheap = _default_branch_cheap(data, lt)
-    use_block = cfg.use_block_partition and branch_cheap
-    insertion_threshold = cfg.insertion_threshold
-    buffers = BlockBuffers.for_block_size(cfg.block_size) if use_block else None
-    n = len(data)
-
-    def loop(begin, end, depth_left, leftmost, depth):
-        if metrics is not None and depth > metrics.max_depth:
-            metrics.max_depth = depth
-        while True:
-            size = end - begin
-            if size < insertion_threshold:
-                if leftmost:
-                    insertion_sort(data, begin, end, lt, metrics)
-                else:
-                    unguarded_insertion_sort(data, begin, end, lt, metrics)
-                return
-            if depth_left == 0:
-                heapsort(data, begin, end, lt, metrics)
-                if metrics is not None:
-                    metrics.heapsort_fallbacks += 1
-                return
-            depth_left -= 1
-            choose_pivot(data, begin, end, lt, cfg, metrics)
-            if use_block:
-                res = block_partition_right(data, begin, end, lt, buffers, metrics)
-            else:
-                res = partition_right(data, begin, end, lt, metrics)
-            pivot_pos = begin + res.pivot_index
-            if pivot_pos - begin <= end - (pivot_pos + 1):
-                loop(begin, pivot_pos, depth_left, leftmost, depth + 1)
-                begin = pivot_pos + 1
-                leftmost = False
-            else:
-                loop(pivot_pos + 1, end, depth_left, False, depth + 1)
-                end = pivot_pos
-
-    loop(0, n, 2 * (n.bit_length() - 1) if n > 0 else 0, True, 0)
+    _sort_range(data, 0, len(data), lt, cfg, metrics, depth_limit=True)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Any, Callable, MutableSequence, Optional
 
-from .driver import DEFAULT_CONFIG, SortConfig, _default_branch_cheap, _sort_range
+from .driver import DEFAULT_CONFIG, SortConfig, _sort_range
 
 Ordering = Callable[[Any, Any], bool]
 
@@ -38,8 +38,8 @@ class Metrics:
     ``comparisons`` counts ordering-relation calls; ``exchanges`` counts
     two-element swaps (one resolved pair per block-round entry);
     ``element_moves`` counts single-element relocations (insertion-sort
-    hole shifting, block rotations, pivot placement). ``max_depth`` is the
-    deepest recursive call, with the top-level call at depth 0.
+    hole shifting, pivot placement). ``max_depth`` is the deepest
+    recursive call, with the top-level call at depth 0.
     ``distinct_pivot_reuse`` maps pivot values to times chosen and is only
     populated when pivot tracing was requested.
     """
@@ -80,7 +80,6 @@ def instrumented_sort(
     data: MutableSequence,
     lt: Ordering = operator.lt,
     config: SortConfig = DEFAULT_CONFIG,
-    branch_cheap: Optional[bool] = None,
     trace_pivots: bool = False,
 ) -> Metrics:
     """Sort ``data`` in place and return the accumulated :class:`Metrics`.
@@ -90,20 +89,8 @@ def instrumented_sort(
     off when measuring, the trace is test machinery.
     """
     metrics = Metrics()
-    if branch_cheap is None:
-        branch_cheap = _default_branch_cheap(data, lt)
-    use_block = config.use_block_partition and branch_cheap
     trace = [] if trace_pivots else None
-    _sort_range(
-        data,
-        0,
-        len(data),
-        counting_ordering(lt, metrics),
-        config,
-        use_block,
-        metrics,
-        trace,
-    )
+    _sort_range(data, 0, len(data), counting_ordering(lt, metrics), config, metrics, trace)
     if trace is not None:
         metrics.distinct_pivot_reuse = dict(Counter(trace))
     return metrics
@@ -119,7 +106,7 @@ def adversary_input(n: int, config: SortConfig = DEFAULT_CONFIG) -> list:
     drags every partition toward the unbalanced side. Pinned values only
     grow, so each answer given during construction also holds under the
     final frozen values: replaying the frozen array through the same
-    scalar-kernel configuration reproduces the construction run exactly.
+    configuration reproduces the construction run exactly.
     """
     if n < 1:
         raise ValueError("adversary needs n >= 1")
@@ -145,7 +132,7 @@ def adversary_input(n: int, config: SortConfig = DEFAULT_CONFIG) -> list:
         return vx < vy
 
     order = list(range(n))
-    _sort_range(order, 0, n, pinning, config, use_block=False)
+    _sort_range(order, 0, n, pinning, config)
     # Anything never forced solid is pinned in final arrangement order,
     # a consistent refinement of the revealed ordering.
     for idx in order:

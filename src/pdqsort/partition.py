@@ -192,11 +192,11 @@ def block_partition_right(
     """Block-based partition_right; identical contract, different moves.
 
     Each round classifies up to one block per side with unconditional
-    offset stores, then resolves min(num_l, num_r) misplaced pairs with a
-    rotation through a single temporary (two moves per element). Leftover
-    offsets carry into the next round; the side that ran dry refills. A
-    final reduced-size round handles the tail, and the drain loop moves
-    any remaining one-sided leftovers next to the boundary.
+    offset stores, then resolves min(num_l, num_r) misplaced pairs with
+    one pairwise exchange each. Leftover offsets carry into the next
+    round; the side that ran dry refills. A final reduced-size round
+    handles the tail, and the drain loop moves any remaining one-sided
+    leftovers next to the boundary.
     """
     if end is None:
         end = len(data)
@@ -214,7 +214,6 @@ def block_partition_right(
     base_l = first
     base_r = last
     swaps = 0
-    moves = 0
 
     while first < last:
         unknown = last - first
@@ -297,5 +296,5 @@ def block_partition_right(
     if metrics is not None:
         metrics.partition_right_calls += 1
         metrics.exchanges += swaps
-        metrics.element_moves += moves + 2
+        metrics.element_moves += 2
     return PartitionResult(pivot_pos - begin, swaps == 0)

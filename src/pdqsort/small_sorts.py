@@ -2,7 +2,10 @@
 
 Every function here works in place on ``data[begin:end)`` under a strict
 weak ordering ``lt``, where ``lt(a, b)`` means ``a`` sorts before ``b``.
-Empty and single-element ranges are no-ops, never errors.
+Empty and single-element ranges are no-ops, never errors. If ``lt``
+raises (``KeyboardInterrupt`` included), the range is still a
+permutation of its input: the insertion sorts drop the lifted element
+back into the hole on the way out, and everything else only swaps.
 """
 
 from __future__ import annotations
@@ -33,10 +36,12 @@ def insertion_sort(
             v = data[i]
             j = i - 1
             data[i] = data[j]
-            while j > begin and lt(v, data[j - 1]):
-                data[j] = data[j - 1]
-                j -= 1
-            data[j] = v
+            try:
+                while j > begin and lt(v, data[j - 1]):
+                    data[j] = data[j - 1]
+                    j -= 1
+            finally:
+                data[j] = v
             moves += i - j + 2
     if metrics is not None and moves:
         metrics.element_moves += moves
@@ -64,10 +69,12 @@ def unguarded_insertion_sort(
             v = data[i]
             j = i - 1
             data[i] = data[j]
-            while lt(v, data[j - 1]):
-                data[j] = data[j - 1]
-                j -= 1
-            data[j] = v
+            try:
+                while lt(v, data[j - 1]):
+                    data[j] = data[j - 1]
+                    j -= 1
+            finally:
+                data[j] = v
             moves += i - j + 2
     if metrics is not None and moves:
         metrics.element_moves += moves
@@ -105,10 +112,12 @@ def partial_insertion_sort(
             v = data[i]
             j = i - 1
             data[i] = data[j]
-            while j > begin and lt(v, data[j - 1]):
-                data[j] = data[j - 1]
-                j -= 1
-            data[j] = v
+            try:
+                while j > begin and lt(v, data[j - 1]):
+                    data[j] = data[j - 1]
+                    j -= 1
+            finally:
+                data[j] = v
             moves += i - j + 2
     if metrics is not None and moves:
         metrics.element_moves += moves

@@ -33,6 +33,8 @@ TOGGLES = (
     "use_partial_insertion",
 )
 
+BLOCK = replace(DEFAULT_CONFIG, use_block_partition=True)
+
 ALL_TOGGLE_CONFIGS = [
     replace(DEFAULT_CONFIG, **dict(zip(TOGGLES, bits)))
     for bits in itertools.product((False, True), repeat=4)
@@ -207,7 +209,7 @@ class TestSort:
         rng = random.Random(14)
         arr = [rng.randint(0, 99) for _ in range(500)]
         work = list(arr)
-        sort_with(work, lambda a, b: b < a, branch_cheap=True)
+        sort_with_config(work, lambda a, b: b < a, BLOCK)
         assert work == sorted(arr, reverse=True)
 
     def test_determinism_same_permutation_and_metrics(self):
@@ -227,17 +229,19 @@ class TestSort:
             n = rng.randint(0, 400)
             arr = [rng.randint(-9, 9) for _ in range(n)]
             work = list(arr)
-            sort_with_config(work, operator.lt, config, branch_cheap=True)
+            sort_with_config(work, operator.lt, config)
             assert work == sorted(arr)
 
     def test_small_thresholds(self):
-        cfg = SortConfig(insertion_threshold=3, ninther_threshold=8, block_size=2)
+        cfg = SortConfig(
+            insertion_threshold=3, ninther_threshold=8, block_size=2, use_block_partition=True
+        )
         rng = random.Random(17)
         for _ in range(100):
             n = rng.randint(0, 120)
             arr = [rng.randint(0, 6) for _ in range(n)]
             work = list(arr)
-            sort_with_config(work, operator.lt, cfg, branch_cheap=True)
+            sort_with_config(work, operator.lt, cfg)
             assert work == sorted(arr)
 
     @given(st.lists(st.integers(-1000, 1000), max_size=300))
@@ -277,7 +281,7 @@ class TestIntrosortBaseline:
 
     def test_killer_input_engages_fallback(self):
         n = 1 << 14
-        arr = adversary_input(n, replace(DEFAULT_CONFIG, use_block_partition=False))
+        arr = adversary_input(n)
         work = list(arr)
         m = Metrics()
         introsort_baseline(work, counting_ordering(operator.lt, m), metrics=m)
@@ -292,7 +296,7 @@ class TestIntrosortBaseline:
                 n = rng.randint(0, 600)
                 arr = [rng.randint(0, 20) for _ in range(n)]
                 work = list(arr)
-                introsort_baseline(work, config=cfg, branch_cheap=True)
+                introsort_baseline(work, config=cfg)
                 assert work == sorted(arr)
 
 

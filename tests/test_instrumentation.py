@@ -1,11 +1,9 @@
 import operator
 import random
-from dataclasses import replace
 
 import pytest
 
 from pdqsort import (
-    DEFAULT_CONFIG,
     METRIC_FIELDS,
     Metrics,
     adversary_input,
@@ -13,8 +11,6 @@ from pdqsort import (
     insertion_sort,
     instrumented_sort,
 )
-
-SCALAR = replace(DEFAULT_CONFIG, use_block_partition=False)
 
 
 class TestCountingOrdering:
@@ -87,18 +83,18 @@ class TestAdversary:
 
     def test_is_permutation(self):
         for n in (2, 17, 256, 1 << 12):
-            adv = adversary_input(n, SCALAR)
+            adv = adversary_input(n)
             assert sorted(adv) == list(range(n))
 
     def test_stresses_the_sort(self):
         n = 1 << 14
-        adv = adversary_input(n, SCALAR)
+        adv = adversary_input(n)
         work = list(adv)
-        m = instrumented_sort(work, config=SCALAR, branch_cheap=False)
+        m = instrumented_sort(work)
         assert work == list(range(n))
         assert m.bad_partitions >= 1
         # The full log2(n) budget burns down and heapsort takes over.
         assert m.heapsort_fallbacks >= 1
 
     def test_construction_deterministic(self):
-        assert adversary_input(512, SCALAR) == adversary_input(512, SCALAR)
+        assert adversary_input(512) == adversary_input(512)
