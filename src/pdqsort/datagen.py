@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from math import isqrt
-from typing import IO, Optional
+from typing import IO
 
 DISTRIBUTION_KINDS = (
     "uniform",
@@ -74,17 +74,12 @@ def _fisher_yates(values: list, rng: SplitMix64) -> None:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """One input-generation recipe.
-
-    ``pad_prefix`` is the number of zero characters prepended to string
-    encodings; None resolves to 0 for str and 1000 for bigstr.
-    """
+    """One input-generation recipe."""
 
     kind: str
     n: int
     element_type: str = "int64"
     seed: int = 0
-    pad_prefix: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in DISTRIBUTION_KINDS:
@@ -93,14 +88,6 @@ class DistributionSpec:
             raise ValueError(f"unknown element type: {self.element_type!r}")
         if self.n < 0:
             raise ValueError("n must be >= 0")
-        if self.pad_prefix is not None and self.pad_prefix < 0:
-            raise ValueError("pad_prefix must be >= 0")
-
-    @property
-    def resolved_pad(self) -> int:
-        if self.pad_prefix is not None:
-            return self.pad_prefix
-        return BIGSTR_PAD if self.element_type == "bigstr" else 0
 
 
 def _base_values(kind: str, n: int) -> list:
@@ -151,7 +138,7 @@ def _encode(values: list, spec: DistributionSpec) -> list:
     if spec.element_type == "int64":
         return values
     width = len(str(spec.n - 1)) if spec.n > 1 else 1
-    prefix = "0" * spec.resolved_pad
+    prefix = "0" * BIGSTR_PAD if spec.element_type == "bigstr" else ""
     return [prefix + format(v, f"0{width}d") for v in values]
 
 

@@ -7,7 +7,7 @@ partition_left, whose left partition needs no recursion; otherwise
 partition_right runs, or block_partition_right when
 ``SortConfig.use_block_partition`` is set (off by default: under CPython
 the block layout is slower, see the README).
-A partition leaving either side smaller than 2**-bad_partition_shift of
+A partition leaving either side smaller than 2**-BAD_PARTITION_SHIFT of
 the range is *bad*: it costs one unit of the log2(n) budget and the pivot
 candidates of both children are swapped with quartile elements to break
 the pattern. A swapless, non-bad partition triggers an optimistic partial
@@ -41,6 +41,17 @@ from .small_sorts import (
 
 Ordering = Callable[[Any, Any], bool]
 
+# The paper's tuning numbers, constants as in the reference pdqsort.h
+# (the block size is partition.DEFAULT_BLOCK_SIZE).
+# Ranges shorter than this are insertion sorted.
+INSERTION_THRESHOLD = 24
+# Ranges longer than this take the ninther as their pivot.
+NINTHER_THRESHOLD = 128
+# Corrections the optimistic partial insertion sort makes before giving up.
+PARTIAL_INSERTION_BUDGET = 8
+# A partition is bad when a side holds less than 2**-3 = 1/8 of the range.
+BAD_PARTITION_SHIFT = 3
+
 # Partitions shorter than this have no quartile positions distinct from
 # their pivot-candidate positions, so pattern breaking skips them.
 MIN_BREAK_SIZE = 8
@@ -48,33 +59,12 @@ MIN_BREAK_SIZE = 8
 
 @dataclass(frozen=True)
 class SortConfig:
-    """Tunables and feature toggles for the sort.
+    """The ablation toggles: each switches one of the paper's techniques."""
 
-    The bad-partition cutoff fraction is exactly 2**-bad_partition_shift
-    of the range, evaluated with a right shift.
-    """
-
-    insertion_threshold: int = 24
-    ninther_threshold: int = 128
-    partial_insertion_budget: int = 8
-    block_size: int = 64
-    bad_partition_shift: int = 3
     use_block_partition: bool = False
     use_partition_left: bool = True
     use_break_patterns: bool = True
     use_partial_insertion: bool = True
-
-    def __post_init__(self):
-        if self.insertion_threshold < 3:
-            raise ValueError("insertion_threshold must be >= 3 (pivot selection needs three candidates)")
-        if self.ninther_threshold < max(8, self.insertion_threshold):
-            raise ValueError("ninther_threshold must be >= max(8, insertion_threshold)")
-        if self.partial_insertion_budget < 0:
-            raise ValueError("partial_insertion_budget must be >= 0")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if self.bad_partition_shift < 1:
-            raise ValueError("bad_partition_shift must be >= 1")
 
 
 DEFAULT_CONFIG = SortConfig()
@@ -85,7 +75,6 @@ def choose_pivot(
     begin: int = 0,
     end: Optional[int] = None,
     lt: Ordering = operator.lt,
-    config: SortConfig = DEFAULT_CONFIG,
     metrics=None,
 ) -> None:
     """Move a pivot estimate to ``data[begin]``.
@@ -103,7 +92,7 @@ def choose_pivot(
         end = len(data)
     size = end - begin
     mid = begin + size // 2
-    if size > config.ninther_threshold:
+    if size > NINTHER_THRESHOLD:
         sort3(data, begin, mid, end - 1, lt, metrics)
         sort3(data, begin + 1, mid - 1, end - 2, lt, metrics)
         sort3(data, begin + 2, mid + 1, end - 3, lt, metrics)
@@ -115,14 +104,9 @@ def choose_pivot(
         sort3(data, mid, begin, end - 1, lt, metrics)
 
 
-def is_bad_partition(
-    left_size: int,
-    right_size: int,
-    total: int,
-    config: SortConfig = DEFAULT_CONFIG,
-) -> bool:
-    """True iff either side is smaller than total * 2**-bad_partition_shift."""
-    threshold = total >> config.bad_partition_shift
+def is_bad_partition(left_size: int, right_size: int, total: int) -> bool:
+    """True iff either side is smaller than total * 2**-BAD_PARTITION_SHIFT."""
+    threshold = total >> BAD_PARTITION_SHIFT
     return left_size < threshold or right_size < threshold
 
 
@@ -130,7 +114,6 @@ def break_patterns(
     data: MutableSequence,
     begin: int = 0,
     end: Optional[int] = None,
-    config: SortConfig = DEFAULT_CONFIG,
     metrics=None,
 ) -> None:
     """Swap the end pivot candidates with quartile elements.
@@ -149,7 +132,7 @@ def break_patterns(
     pairs = 1
     data[begin], data[begin + q] = data[begin + q], data[begin]
     data[end - 1], data[end - 1 - q] = data[end - 1 - q], data[end - 1]
-    if size > config.ninther_threshold:
+    if size > NINTHER_THRESHOLD:
         for k in (1, 2):
             data[begin + k], data[begin + q + k] = data[begin + q + k], data[begin + k]
             data[end - 1 - k], data[end - 1 - q - k] = data[end - 1 - q - k], data[end - 1 - k]
@@ -175,23 +158,21 @@ def _sort_range(
     no partition is judged bad. Only :func:`introsort_baseline` sets it.
     """
     use_block = config.use_block_partition
-    insertion_threshold = config.insertion_threshold
-    budget = config.partial_insertion_budget
     use_left = config.use_partition_left
     use_break = config.use_break_patterns
     use_partial = config.use_partial_insertion
     # One scratch pair per sort call, shared by every partition; ranges
     # below the insertion threshold never partition at all.
     buffers = (
-        BlockBuffers.for_block_size(config.block_size)
-        if use_block and end - begin >= insertion_threshold
+        BlockBuffers.for_block_size()
+        if use_block and end - begin >= INSERTION_THRESHOLD
         else None
     )
 
     def attempt_partial(lo, hi):
         if metrics is not None:
             metrics.partial_insertion_attempts += 1
-        ok = partial_insertion_sort(data, lo, hi, lt, budget, metrics)
+        ok = partial_insertion_sort(data, lo, hi, lt, PARTIAL_INSERTION_BUDGET, metrics)
         if not ok and metrics is not None:
             metrics.partial_insertion_aborts += 1
         return ok
@@ -201,7 +182,7 @@ def _sort_range(
             metrics.max_depth = depth
         while True:
             size = end - begin
-            if size < insertion_threshold:
+            if size < INSERTION_THRESHOLD:
                 if leftmost:
                     insertion_sort(data, begin, end, lt, metrics)
                 else:
@@ -213,7 +194,7 @@ def _sort_range(
                     metrics.heapsort_fallbacks += 1
                 return
 
-            choose_pivot(data, begin, end, lt, config, metrics)
+            choose_pivot(data, begin, end, lt, metrics)
             if pivot_trace is not None:
                 pivot_trace.append(data[begin])
 
@@ -235,15 +216,15 @@ def _sort_range(
 
             if depth_limit:
                 bad_allowed -= 1
-            elif is_bad_partition(left_size, right_size, size, config):
+            elif is_bad_partition(left_size, right_size, size):
                 if metrics is not None:
                     metrics.bad_partitions += 1
                 bad_allowed -= 1
                 if use_break:
                     if left_size >= MIN_BREAK_SIZE:
-                        break_patterns(data, begin, pivot_pos, config, metrics)
+                        break_patterns(data, begin, pivot_pos, metrics)
                     if right_size >= MIN_BREAK_SIZE:
-                        break_patterns(data, pivot_pos + 1, end, config, metrics)
+                        break_patterns(data, pivot_pos + 1, end, metrics)
             elif (
                 use_partial
                 and res.no_swaps
@@ -266,7 +247,13 @@ def _sort_range(
     bad_allowed = n.bit_length() - 1 if n > 0 else 0
     if depth_limit:
         bad_allowed *= 2
-    loop(begin, end, bad_allowed, True, 0)
+    try:
+        loop(begin, end, bad_allowed, True, 0)
+    finally:
+        # loop reaches itself through its closure, and the closure holds
+        # data; breaking that cycle frees the list with the call instead
+        # of at the next cyclic garbage collection.
+        del loop
 
 
 def sort(data: MutableSequence, config: SortConfig = DEFAULT_CONFIG) -> None:
@@ -274,13 +261,8 @@ def sort(data: MutableSequence, config: SortConfig = DEFAULT_CONFIG) -> None:
     _sort_range(data, 0, len(data), operator.lt, config)
 
 
-def sort_with(data: MutableSequence, lt: Ordering) -> None:
+def sort_with(data: MutableSequence, lt: Ordering, config: SortConfig = DEFAULT_CONFIG) -> None:
     """Sort ``data`` in place under the strict weak ordering ``lt``."""
-    _sort_range(data, 0, len(data), lt, DEFAULT_CONFIG)
-
-
-def sort_with_config(data: MutableSequence, lt: Ordering, config: SortConfig) -> None:
-    """Sort ``data`` in place under ``lt`` with explicit tunables."""
     _sort_range(data, 0, len(data), lt, config)
 
 

@@ -43,17 +43,11 @@ class PartitionResult(NamedTuple):
 
 @dataclass
 class BlockBuffers:
-    """Caller-supplied scratch for block partitioning.
-
-    Two fixed-size offset buffers plus the counts of offsets recorded but
-    not yet consumed. After every fill-and-exchange round at least one
-    buffer is empty; only empty buffers are refilled.
-    """
+    """Caller-supplied scratch for block partitioning: two fixed-size
+    offset buffers, one per side."""
 
     offsets_left: list = field(repr=False)
     offsets_right: list = field(repr=False)
-    pending_left: int = 0
-    pending_right: int = 0
 
     @classmethod
     def for_block_size(cls, block_size: int = DEFAULT_BLOCK_SIZE) -> "BlockBuffers":
@@ -261,13 +255,12 @@ def block_partition_right(
             num_r -= num
             start_l += num
             start_r += num
-        buffers.pending_left = num_l
-        buffers.pending_right = num_r
 
-    # Drain the surviving buffer (at most one side is non-empty): walk its
-    # offsets from the boundary side inward, swapping each wrong-side
-    # element next to the boundary. Coincident positions mean the element
-    # is already in place, so nothing is exchanged.
+    # Drain the surviving buffer (at most one side is non-empty, as every
+    # round subtracts min(num_l, num_r) from both): walk its offsets from
+    # the boundary side inward, swapping each wrong-side element next to
+    # the boundary. Coincident positions mean the element is already in
+    # place, so nothing is exchanged.
     if num_l:
         while num_l:
             num_l -= 1
@@ -291,8 +284,6 @@ def block_partition_right(
     data[begin] = data[pivot_pos]
     data[pivot_pos] = pivot
 
-    buffers.pending_left = 0
-    buffers.pending_right = 0
     if metrics is not None:
         metrics.partition_right_calls += 1
         metrics.exchanges += swaps

@@ -25,26 +25,12 @@ def insertion_sort(
 ) -> None:
     """Sort ``data[begin:end)`` ascending.
 
-    Each out-of-place element is lifted once, the sorted prefix is shifted
-    to open a hole, and the element is dropped once -- no pairwise swaps.
+    The partial insertion sort with a budget it cannot exceed: a range of
+    ``end - begin`` elements needs fewer corrections than that.
     """
     if end is None:
         end = len(data)
-    moves = 0
-    for i in range(begin + 1, end):
-        if lt(data[i], data[i - 1]):
-            v = data[i]
-            j = i - 1
-            data[i] = data[j]
-            try:
-                while j > begin and lt(v, data[j - 1]):
-                    data[j] = data[j - 1]
-                    j -= 1
-            finally:
-                data[j] = v
-            moves += i - j + 2
-    if metrics is not None and moves:
-        metrics.element_moves += moves
+    partial_insertion_sort(data, begin, end, lt, end - begin, metrics)
 
 
 def unguarded_insertion_sort(
@@ -90,6 +76,8 @@ def partial_insertion_sort(
 ) -> bool:
     """Insertion sort that gives up after ``budget`` corrections.
 
+    Each out-of-place element is lifted once, the sorted prefix is shifted
+    to open a hole, and the element is dropped once -- no pairwise swaps.
     One correction is one lifted element (one hole-shift cycle), whatever
     the shift distance. Returns True iff the range is fully sorted on
     return; on False the range is left as a valid permutation with a

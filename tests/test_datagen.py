@@ -124,8 +124,6 @@ class TestGenerate:
         arr = generate(DistributionSpec("mod8", 10, "bigstr", seed=1))
         assert all(s.startswith("0" * 1000) for s in arr)
         assert len(arr[0]) == 1000 + 1
-        custom = generate(DistributionSpec("mod8", 10, "bigstr", seed=1, pad_prefix=3))
-        assert len(custom[0]) == 4
 
     def test_same_permutation_across_element_types(self):
         ints = generate(DistributionSpec("mod8", 64, "int64", seed=4))
@@ -144,8 +142,6 @@ class TestGenerate:
             DistributionSpec("asc", -1)
         with pytest.raises(ValueError):
             DistributionSpec("asc", 10, "int32")
-        with pytest.raises(ValueError):
-            DistributionSpec("asc", 10, pad_prefix=-1)
 
     @given(
         st.sampled_from(DISTRIBUTION_KINDS),

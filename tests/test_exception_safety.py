@@ -26,7 +26,7 @@ from pdqsort import (
     partial_insertion_sort,
     partition_left,
     partition_right,
-    sort_with_config,
+    sort_with,
     unguarded_insertion_sort,
 )
 from pdqsort.acceptance import TOGGLE_FIELDS
@@ -121,7 +121,7 @@ def test_sort_keeps_permutation(config, exc):
     arr = [rng.randint(0, 50) for _ in range(300)]
 
     def run(work, lt):
-        sort_with_config(work, lt, config)
+        sort_with(work, lt, config)
 
     total = calls_made(run, arr)
     assert_permutation_kept(run, arr, range(1, total + 1, max(1, total // 120)), exc)

@@ -109,19 +109,6 @@ class TestPartitionLeft:
             assert all(pv < x for x in arr[res.pivot_index + 1 :])
 
 
-class _RoundWatcher(BlockBuffers):
-    """Records (pending_left, pending_right) after every fill/swap round."""
-
-    def __init__(self, block_size):
-        self.rounds = []
-        super().__init__([0] * block_size, [0] * block_size)
-
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name == "pending_right":
-            self.rounds.append((self.pending_left, self.pending_right))
-
-
 class TestBlockPartitionRight:
     def test_trivial_matches_contract(self):
         work = [1, 0, 2]
@@ -178,15 +165,6 @@ class TestBlockPartitionRight:
                 assert undone == arr
             else:
                 assert m.exchanges > 0
-
-    def test_at_least_one_buffer_empty_after_each_round(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            n = rng.randint(2, 500)
-            arr = prepare_pivot([rng.randint(0, 50) for _ in range(n)])
-            watcher = _RoundWatcher(8)
-            block_partition_right(arr, buffers=watcher)
-            assert all(min(l, r) == 0 for l, r in watcher.rounds)
 
     def test_buffer_validation(self):
         with pytest.raises(ValueError):
