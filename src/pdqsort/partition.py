@@ -3,8 +3,9 @@
 Three primitives over ``data[begin:end)`` with the pivot at ``data[begin]``:
 
 - :func:`partition_right`: crossing-pointers Hoare partition that groups
-  elements equal to the pivot into the right partition, one ordering call
-  per element (``a < b  iff  not (a >= b)``).
+  elements equal to the pivot into the right partition, one comparison
+  per element (``a < b  iff  not (a >= b)``). Under ``operator.lt`` it
+  runs the same loops with ``<`` written inline.
 - :func:`partition_left`: the mirror that groups equal elements into the
   left partition; called when the range's predecessor equals the pivot,
   so its left partition needs no further recursion.
@@ -72,41 +73,66 @@ def partition_right(
     if end is None:
         end = len(data)
     pivot = data[begin]
-
-    # Scan up to the first element >= pivot. Selection guarantees one
-    # exists, so the first iteration needs no bound check.
     i = begin + 1
-    while lt(data[i], pivot):
-        i += 1
-
-    # Scan down to the first element < pivot. Only guarded when the up
-    # scan stopped immediately, i.e. nothing smaller is known to exist
-    # on the left to act as a sentinel.
     j = end
-    if i - 1 == begin:
-        while i < j:
-            j -= 1
-            if lt(data[j], pivot):
-                break
-    else:
-        j -= 1
-        while not lt(data[j], pivot):
-            j -= 1
-
-    # If the first misplaced pair already crossed, the range was
-    # partitioned before we touched it.
-    no_swaps = i >= j
-
     swaps = 0
-    while i < j:
-        data[i], data[j] = data[j], data[i]
-        swaps += 1
-        i += 1
+
+    if lt is operator.lt:
+        # The loops of the else branch with ``<`` written inline: the same
+        # comparisons in the same order, without a Python call for each.
+        while data[i] < pivot:
+            i += 1
+        if i - 1 == begin:
+            while i < j:
+                j -= 1
+                if data[j] < pivot:
+                    break
+        else:
+            j -= 1
+            while not data[j] < pivot:
+                j -= 1
+        no_swaps = i >= j
+        while i < j:
+            data[i], data[j] = data[j], data[i]
+            swaps += 1
+            i += 1
+            while data[i] < pivot:
+                i += 1
+            j -= 1
+            while not data[j] < pivot:
+                j -= 1
+    else:
+        # Scan up to the first element >= pivot. Selection guarantees one
+        # exists, so the first iteration needs no bound check.
         while lt(data[i], pivot):
             i += 1
-        j -= 1
-        while not lt(data[j], pivot):
+
+        # Scan down to the first element < pivot. Only guarded when the up
+        # scan stopped immediately, i.e. nothing smaller is known to exist
+        # on the left to act as a sentinel.
+        if i - 1 == begin:
+            while i < j:
+                j -= 1
+                if lt(data[j], pivot):
+                    break
+        else:
             j -= 1
+            while not lt(data[j], pivot):
+                j -= 1
+
+        # If the first misplaced pair already crossed, the range was
+        # partitioned before we touched it.
+        no_swaps = i >= j
+
+        while i < j:
+            data[i], data[j] = data[j], data[i]
+            swaps += 1
+            i += 1
+            while lt(data[i], pivot):
+                i += 1
+            j -= 1
+            while not lt(data[j], pivot):
+                j -= 1
 
     pivot_pos = i - 1
     data[begin] = data[pivot_pos]

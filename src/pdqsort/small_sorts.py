@@ -50,18 +50,34 @@ def unguarded_insertion_sort(
         end = len(data)
     assert begin > 0, "unguarded insertion sort needs a predecessor"
     moves = 0
-    for i in range(begin + 1, end):
-        if lt(data[i], data[i - 1]):
+    if lt is operator.lt:
+        # The loop of the else branch with ``<`` written inline: the same
+        # comparisons in the same order, without a Python call for each.
+        for i in range(begin + 1, end):
             v = data[i]
-            j = i - 1
-            data[i] = data[j]
-            try:
-                while lt(v, data[j - 1]):
-                    data[j] = data[j - 1]
-                    j -= 1
-            finally:
-                data[j] = v
-            moves += i - j + 2
+            if v < data[i - 1]:
+                j = i - 1
+                data[i] = data[j]
+                try:
+                    while v < data[j - 1]:
+                        data[j] = data[j - 1]
+                        j -= 1
+                finally:
+                    data[j] = v
+                moves += i - j + 2
+    else:
+        for i in range(begin + 1, end):
+            if lt(data[i], data[i - 1]):
+                v = data[i]
+                j = i - 1
+                data[i] = data[j]
+                try:
+                    while lt(v, data[j - 1]):
+                        data[j] = data[j - 1]
+                        j -= 1
+                finally:
+                    data[j] = v
+                moves += i - j + 2
     if metrics is not None and moves:
         metrics.element_moves += moves
 
