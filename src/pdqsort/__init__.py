@@ -3,18 +3,21 @@
 An in-place, unstable hybrid of quicksort, insertion sort and heapsort:
 tripartite handling of equal elements through paired partition kernels, a
 bad-partition budget with deterministic pattern breaking, and an
-optimistic linear path for nearly sorted inputs. Every heuristic is
-individually toggleable via :class:`SortConfig`, passed to ``sort(data,
-config)`` or ``sort_with(data, lt, config)``, including the paper's
-block partitioner, which is off by default because under CPython it is
-slower than the scalar one. The paper's tuning numbers are constants of
-:mod:`pdqsort.driver`: insertion threshold 24, ninther threshold 128,
-partial-insertion budget 8, block size 64 and bad-partition cutoff 1/8.
+optimistic linear path for nearly sorted inputs. ``sort(data)`` runs
+the default configuration. Every heuristic is individually toggleable
+via :class:`SortConfig`, passed to ``sort_with(data, lt, config)``,
+including the paper's block partitioner, which is off by default because
+under CPython it is slower than the scalar one. The paper's tuning
+numbers are constants of :mod:`pdqsort.driver`: insertion threshold 24,
+ninther threshold 128, partial-insertion budget 8, block size 64 and
+bad-partition cutoff 1/8.
 The ``pdqsort`` CLI adds benchmark, input-generation, entropy-table and
 verification commands.
 
 ``__all__`` lists the public surface. The kernels, ``BlockBuffers`` and
-``PartitionResult`` stay importable from here for tests and benchmarks.
+``PartitionResult`` stay importable from here for tests and benchmarks;
+each kernel takes ``(data, begin, end, ..., metrics=None)``, its range
+always given.
 """
 
 from .datagen import (

@@ -161,7 +161,7 @@ def criterion_partition_oracle(quick: bool = False) -> CriterionResult:
             _check_right_contract(prepared, scalar, res_scalar, pv)
             assert length - 1 <= m_scalar.comparisons <= length + 1, "scan count off"
 
-            for buffers in (None, small_buffers):
+            for buffers in (BlockBuffers.for_block_size(), small_buffers):
                 blocked = _TracingList(prepared)
                 m_block = Metrics()
                 res_block = block_partition_right(

@@ -1,10 +1,10 @@
 """Benchmark harness: run the algorithm matrix over the distribution
 matrix, normalize timings by n*log2(n), and emit CSV rows.
 
-Cells execute strictly sequentially. Each cell regenerates its input
-fresh from the same seed for every timing iteration, so every algorithm
-sees the exact same input, and runs one extra instrumented pass for the
-counter columns. Timing columns are informative; counters are the
+Cells execute strictly sequentially. Each distribution's input is
+generated once; every timing iteration of every algorithm sorts a fresh
+copy of it, and one extra instrumented pass per cell fills the counter
+columns. Timing columns are informative; counters are the
 reproducible part (two runs with identical flags differ only in the
 timing columns).
 """
@@ -85,9 +85,9 @@ _BLOCK_CONFIG = replace(DEFAULT_CONFIG, use_block_partition=True)
 # Each algorithm is one call (values, lt, metrics): timed with the plain
 # ordering and no metrics, counted with a counting ordering and Metrics.
 ALGORITHMS: dict[str, Callable] = {
-    "pdq": lambda v, lt, m: _sort_range(v, 0, len(v), lt, DEFAULT_CONFIG, m),
-    "bpdq": lambda v, lt, m: _sort_range(v, 0, len(v), lt, _BLOCK_CONFIG, m),
-    "introsort_baseline": lambda v, lt, m: introsort_baseline(v, lt, DEFAULT_CONFIG, m),
+    "pdq": lambda v, lt, m: _sort_range(v, lt, DEFAULT_CONFIG, m),
+    "bpdq": lambda v, lt, m: _sort_range(v, lt, _BLOCK_CONFIG, m),
+    "introsort_baseline": introsort_baseline,
     "heapsort": lambda v, lt, m: heapsort(v, 0, len(v), lt, m),
 }
 _ALGO_ALIASES = {"baseline": "introsort_baseline"}
@@ -104,14 +104,6 @@ def resolve_algo(name: str) -> str:
     return canonical
 
 
-def _instrumented_pass(algo: str, spec: DistributionSpec) -> tuple[Metrics, str]:
-    values = generate(spec)
-    digest = array_digest(values)
-    metrics = Metrics()
-    ALGORITHMS[algo](values, counting_ordering(operator.lt, metrics), metrics)
-    return metrics, digest
-
-
 def run_benchmark(
     algos: Sequence[str],
     specs: Iterable[DistributionSpec],
@@ -121,18 +113,21 @@ def run_benchmark(
     canonical = [resolve_algo(a) for a in algos]
     records = []
     for spec in specs:
+        values = generate(spec)
+        digest = array_digest(values)
         for algo in canonical:
             run = ALGORITHMS[algo]
             total_ns = 0
             iterations = 0
             min_ns = int(policy.min_time * 1e9)
             while total_ns < min_ns or iterations < policy.min_iterations:
-                values = generate(spec)
+                work = list(values)
                 t0 = time.perf_counter_ns()
-                run(values, operator.lt, None)
+                run(work, operator.lt, None)
                 total_ns += time.perf_counter_ns() - t0
                 iterations += 1
-            metrics, digest = _instrumented_pass(algo, spec)
+            metrics = Metrics()
+            run(list(values), counting_ordering(operator.lt, metrics), metrics)
             nlog2n = spec.n * math.log2(spec.n) if spec.n >= 2 else 0.0
             records.append(
                 BenchmarkRecord(

@@ -22,11 +22,12 @@ identical output permutation and identical instrumentation counters.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
-from typing import Any, Callable, MutableSequence, Optional
+from dataclasses import dataclass
+from typing import MutableSequence
 
 from .partition import (
     BlockBuffers,
+    Ordering,
     block_partition_right,
     partition_left,
     partition_right,
@@ -38,8 +39,6 @@ from .small_sorts import (
     sort3,
     unguarded_insertion_sort,
 )
-
-Ordering = Callable[[Any, Any], bool]
 
 # The paper's tuning numbers, constants as in the reference pdqsort.h
 # (the block size is partition.DEFAULT_BLOCK_SIZE).
@@ -69,11 +68,17 @@ class SortConfig:
 
 DEFAULT_CONFIG = SortConfig()
 
+_INTROSORT_CONFIG = SortConfig(
+    use_partition_left=False,
+    use_break_patterns=False,
+    use_partial_insertion=False,
+)
+
 
 def choose_pivot(
     data: MutableSequence,
-    begin: int = 0,
-    end: Optional[int] = None,
+    begin: int,
+    end: int,
     lt: Ordering = operator.lt,
     metrics=None,
 ) -> None:
@@ -88,8 +93,6 @@ def choose_pivot(
     swapless and puts the pivot straight back, which is what lets the
     optimistic insertion-sort path fire.
     """
-    if end is None:
-        end = len(data)
     size = end - begin
     mid = begin + size // 2
     if size > NINTHER_THRESHOLD:
@@ -112,8 +115,8 @@ def is_bad_partition(left_size: int, right_size: int, total: int) -> bool:
 
 def break_patterns(
     data: MutableSequence,
-    begin: int = 0,
-    end: Optional[int] = None,
+    begin: int,
+    end: int,
     metrics=None,
 ) -> None:
     """Swap the end pivot candidates with quartile elements.
@@ -124,8 +127,6 @@ def break_patterns(
     with the corresponding quartile neighbours. Applying it twice on the
     same range undoes it (disjoint transpositions).
     """
-    if end is None:
-        end = len(data)
     size = end - begin
     assert size >= MIN_BREAK_SIZE, "pattern breaking needs quartiles distinct from the ends"
     q = size // 4
@@ -143,15 +144,13 @@ def break_patterns(
 
 def _sort_range(
     data: MutableSequence,
-    begin: int,
-    end: int,
     lt: Ordering,
     config: SortConfig,
     metrics=None,
     pivot_trace=None,
     depth_limit: bool = False,
 ) -> None:
-    """The one sort loop behind every entry point.
+    """Sort all of ``data``: the one sort loop behind every entry point.
 
     ``depth_limit=True`` turns the bad-partition budget into introsort's
     depth limit: every partition spends one of 2*floor(log2 n) units and
@@ -165,7 +164,7 @@ def _sort_range(
     # below the insertion threshold never partition at all.
     buffers = (
         BlockBuffers.for_block_size()
-        if use_block and end - begin >= INSERTION_THRESHOLD
+        if use_block and len(data) >= INSERTION_THRESHOLD
         else None
     )
 
@@ -243,12 +242,12 @@ def _sort_range(
                 loop(pivot_pos + 1, end, bad_allowed, False, depth + 1)
                 end = pivot_pos
 
-    n = end - begin
+    n = len(data)
     bad_allowed = n.bit_length() - 1 if n > 0 else 0
     if depth_limit:
         bad_allowed *= 2
     try:
-        loop(begin, end, bad_allowed, True, 0)
+        loop(0, n, bad_allowed, True, 0)
     finally:
         # loop reaches itself through its closure, and the closure holds
         # data; breaking that cycle frees the list with the call instead
@@ -256,29 +255,18 @@ def _sort_range(
         del loop
 
 
-def sort(data: MutableSequence, config: SortConfig = DEFAULT_CONFIG) -> None:
+def sort(data: MutableSequence) -> None:
     """Sort ``data`` in place, ascending under ``<``. Not stable."""
-    _sort_range(data, 0, len(data), operator.lt, config)
+    _sort_range(data, operator.lt, DEFAULT_CONFIG)
 
 
 def sort_with(data: MutableSequence, lt: Ordering, config: SortConfig = DEFAULT_CONFIG) -> None:
     """Sort ``data`` in place under the strict weak ordering ``lt``."""
-    _sort_range(data, 0, len(data), lt, config)
+    _sort_range(data, lt, config)
 
 
-def introsort_baseline(
-    data: MutableSequence,
-    lt: Ordering = operator.lt,
-    config: SortConfig = DEFAULT_CONFIG,
-    metrics=None,
-) -> None:
-    """Ablation baseline: the same loop, pivot selection and kernels, but
-    with the equal-element, pattern-breaking and optimistic heuristics
+def introsort_baseline(data: MutableSequence, lt: Ordering = operator.lt, metrics=None) -> None:
+    """Ablation baseline: the same loop, pivot selection and scalar kernels,
+    but with the equal-element, pattern-breaking and optimistic heuristics
     off and a plain depth-based heapsort fallback (limit 2*floor(log2 n))."""
-    cfg = replace(
-        config,
-        use_partition_left=False,
-        use_break_patterns=False,
-        use_partial_insertion=False,
-    )
-    _sort_range(data, 0, len(data), lt, cfg, metrics, depth_limit=True)
+    _sort_range(data, lt, _INTROSORT_CONFIG, metrics, depth_limit=True)

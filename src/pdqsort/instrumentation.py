@@ -10,25 +10,10 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Any, Callable, MutableSequence, Optional
+from typing import MutableSequence, Optional
 
 from .driver import DEFAULT_CONFIG, SortConfig, _sort_range
-
-Ordering = Callable[[Any, Any], bool]
-
-# Column order of the counter fragment in benchmark CSV rows.
-METRIC_FIELDS = (
-    "comparisons",
-    "element_moves",
-    "exchanges",
-    "partition_right_calls",
-    "partition_left_calls",
-    "bad_partitions",
-    "heapsort_fallbacks",
-    "partial_insertion_attempts",
-    "partial_insertion_aborts",
-    "max_depth",
-)
+from .partition import Ordering
 
 
 @dataclass
@@ -61,9 +46,9 @@ class Metrics:
         return tuple(getattr(self, name) for name in METRIC_FIELDS)
 
 
-assert METRIC_FIELDS == tuple(
-    f.name for f in fields(Metrics) if f.name != "distinct_pivot_reuse"
-)
+# Column order of the counter fragment in benchmark CSV rows: every
+# counter, in declaration order, without the pivot trace.
+METRIC_FIELDS = tuple(f.name for f in fields(Metrics) if f.name != "distinct_pivot_reuse")
 
 
 def counting_ordering(base: Ordering, metrics: Metrics) -> Ordering:
@@ -90,13 +75,13 @@ def instrumented_sort(
     """
     metrics = Metrics()
     trace = [] if trace_pivots else None
-    _sort_range(data, 0, len(data), counting_ordering(lt, metrics), config, metrics, trace)
+    _sort_range(data, counting_ordering(lt, metrics), config, metrics, trace)
     if trace is not None:
         metrics.distinct_pivot_reuse = dict(Counter(trace))
     return metrics
 
 
-def adversary_input(n: int, config: SortConfig = DEFAULT_CONFIG) -> list:
+def adversary_input(n: int) -> list:
     """A permutation of 0..n-1 crafted against the deterministic pivot rule.
 
     The sort runs once over an index array under a relation that keeps
@@ -105,7 +90,7 @@ def adversary_input(n: int, config: SortConfig = DEFAULT_CONFIG) -> list:
     quicksort, the pivot -- is pinned to the smallest unused value, which
     drags every partition toward the unbalanced side. Pinned values only
     grow, so each answer given during construction also holds under the
-    final frozen values: replaying the frozen array through the same
+    final frozen values: replaying the frozen array through the default
     configuration reproduces the construction run exactly.
     """
     if n < 1:
@@ -132,7 +117,7 @@ def adversary_input(n: int, config: SortConfig = DEFAULT_CONFIG) -> list:
         return vx < vy
 
     order = list(range(n))
-    _sort_range(order, 0, n, pinning, config)
+    _sort_range(order, pinning, DEFAULT_CONFIG)
     # Anything never forced solid is pinned in final arrangement order,
     # a consistent refinement of the revealed ordering.
     for idx in order:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, MutableSequence, NamedTuple, Optional
+from typing import Any, Callable, MutableSequence, NamedTuple
 
 Ordering = Callable[[Any, Any], bool]
 
@@ -63,15 +63,13 @@ class BlockBuffers:
 
 def partition_right(
     data: MutableSequence,
-    begin: int = 0,
-    end: Optional[int] = None,
+    begin: int,
+    end: int,
     lt: Ordering = operator.lt,
     metrics=None,
 ) -> PartitionResult:
     """Partition so that [begin, r) < pivot, data[r] is the pivot, and
     (r, end) >= pivot, where r = begin + pivot_index."""
-    if end is None:
-        end = len(data)
     pivot = data[begin]
     i = begin + 1
     j = end
@@ -147,8 +145,8 @@ def partition_right(
 
 def partition_left(
     data: MutableSequence,
-    begin: int = 0,
-    end: Optional[int] = None,
+    begin: int,
+    end: int,
     lt: Ordering = operator.lt,
     metrics=None,
 ) -> PartitionResult:
@@ -158,8 +156,6 @@ def partition_left(
     predecessor and that the predecessor equals the pivot; the left
     partition then consists of elements equal to the pivot only.
     """
-    if end is None:
-        end = len(data)
     pivot = data[begin]
 
     # Scan down to the first element <= pivot; the pivot itself stops
@@ -203,10 +199,10 @@ def partition_left(
 
 def block_partition_right(
     data: MutableSequence,
-    begin: int = 0,
-    end: Optional[int] = None,
-    lt: Ordering = operator.lt,
-    buffers: Optional[BlockBuffers] = None,
+    begin: int,
+    end: int,
+    lt: Ordering,
+    buffers: BlockBuffers,
     metrics=None,
 ) -> PartitionResult:
     """Block-based partition_right; identical contract, different moves.
@@ -218,10 +214,6 @@ def block_partition_right(
     handles the tail, and the drain loop moves any remaining one-sided
     leftovers next to the boundary.
     """
-    if end is None:
-        end = len(data)
-    if buffers is None:
-        buffers = BlockBuffers.for_block_size()
     block = buffers.block_size
     offs_l = buffers.offsets_left
     offs_r = buffers.offsets_right

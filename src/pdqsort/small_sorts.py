@@ -11,15 +11,15 @@ back into the hole on the way out, and everything else only swaps.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, MutableSequence, Optional
+from typing import MutableSequence
 
-Ordering = Callable[[Any, Any], bool]
+from .partition import Ordering
 
 
 def insertion_sort(
     data: MutableSequence,
-    begin: int = 0,
-    end: Optional[int] = None,
+    begin: int,
+    end: int,
     lt: Ordering = operator.lt,
     metrics=None,
 ) -> None:
@@ -28,15 +28,13 @@ def insertion_sort(
     The partial insertion sort with a budget it cannot exceed: a range of
     ``end - begin`` elements needs fewer corrections than that.
     """
-    if end is None:
-        end = len(data)
     partial_insertion_sort(data, begin, end, lt, end - begin, metrics)
 
 
 def unguarded_insertion_sort(
     data: MutableSequence,
     begin: int,
-    end: Optional[int] = None,
+    end: int,
     lt: Ordering = operator.lt,
     metrics=None,
 ) -> None:
@@ -46,8 +44,6 @@ def unguarded_insertion_sort(
     the range, so it stops the inner scan as a sentinel. Callers must only
     use this on ranges that are not leftmost in their buffer.
     """
-    if end is None:
-        end = len(data)
     assert begin > 0, "unguarded insertion sort needs a predecessor"
     moves = 0
     if lt is operator.lt:
@@ -84,10 +80,10 @@ def unguarded_insertion_sort(
 
 def partial_insertion_sort(
     data: MutableSequence,
-    begin: int = 0,
-    end: Optional[int] = None,
-    lt: Ordering = operator.lt,
-    budget: int = 8,
+    begin: int,
+    end: int,
+    lt: Ordering,
+    budget: int,
     metrics=None,
 ) -> bool:
     """Insertion sort that gives up after ``budget`` corrections.
@@ -100,8 +96,6 @@ def partial_insertion_sort(
     sorted prefix, and exactly ``budget + 1`` corrections were counted
     when the abort happened (the last one is not performed).
     """
-    if end is None:
-        end = len(data)
     if budget < 0:
         raise ValueError("correction budget must be non-negative")
     corrections = 0
@@ -146,14 +140,12 @@ def _sift_down(data, begin, root, size, lt):
 
 def heapsort(
     data: MutableSequence,
-    begin: int = 0,
-    end: Optional[int] = None,
+    begin: int,
+    end: int,
     lt: Ordering = operator.lt,
     metrics=None,
 ) -> None:
     """In-place siftdown heapsort; the O(n log n) fallback sort."""
-    if end is None:
-        end = len(data)
     n = end - begin
     if n < 2:
         return

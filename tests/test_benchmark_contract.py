@@ -4,7 +4,9 @@
 name to attribute a sort to its layers, and ``benchmark/isolate.py``
 replays the same kernels through ``pdqsort``. These tests read the list
 from ``layers.py`` itself, so renaming or inlining a kernel fails here
-rather than in ``benchmark/run.py --trace 1``.
+rather than in ``benchmark/run.py --trace 1``. Both also assume one
+calling convention, ``(data, begin, end, ..., metrics)``: the range is
+always passed and the sort's ``Metrics`` comes last.
 
 ``isolate.py`` replays each kernel with the ordering the driver handed
 it. The two kernels that compare inline under ``operator.lt`` must
@@ -12,6 +14,7 @@ therefore receive ``operator.lt`` itself from ``sort()``; otherwise
 their ``kernel.*`` replays would time the generic loops instead.
 """
 
+import inspect
 import operator
 import sys
 from pathlib import Path
@@ -31,7 +34,17 @@ def test_every_layer_is_a_driver_global_and_a_package_attribute():
         kernel = getattr(driver, name, None)
         assert callable(kernel), f"pdqsort.driver.{name} is not a callable global"
         assert getattr(pdqsort, name, None) is kernel, f"pdqsort.{name} is not the driver's kernel"
-    assert isinstance(pdqsort.partition_right([1, 0, 2]), pdqsort.PartitionResult)
+    assert isinstance(pdqsort.partition_right([1, 0, 2], 0, 3), pdqsort.PartitionResult)
+
+
+def test_every_kernel_takes_a_required_range_and_metrics_last():
+    for name in LAYER_OF:
+        params = list(inspect.signature(getattr(driver, name)).parameters.values())
+        begin, end = params[1:3]
+        assert (begin.name, end.name) == ("begin", "end"), name
+        assert begin.default is end.default is inspect.Parameter.empty, name
+        assert params[-1].name == "metrics", name
+        assert params[-1].default is None, name
 
 
 def test_traced_sort_attributes_every_comparison():

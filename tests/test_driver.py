@@ -1,5 +1,4 @@
 import gc
-import itertools
 import math
 import operator
 import random
@@ -26,6 +25,7 @@ from pdqsort import (
     sort_with,
 )
 from pdqsort import driver
+from pdqsort.acceptance import _toggle_configs
 from pdqsort.instrumentation import adversary_input
 from pdqsort.partition import DEFAULT_BLOCK_SIZE
 
@@ -37,11 +37,6 @@ TOGGLES = (
 )
 
 BLOCK = replace(DEFAULT_CONFIG, use_block_partition=True)
-
-ALL_TOGGLE_CONFIGS = [
-    replace(DEFAULT_CONFIG, **dict(zip(TOGGLES, bits)))
-    for bits in itertools.product((False, True), repeat=4)
-]
 
 
 class TestSortConfig:
@@ -64,13 +59,13 @@ class TestSortConfig:
 class TestChoosePivot:
     def test_median_of_three_trace(self):
         work = [1, 2, 3]
-        choose_pivot(work)
+        choose_pivot(work, 0, 3)
         assert work == [2, 1, 3]
         assert work[0] == sorted([1, 2, 3])[1]
 
     def test_all_equal(self):
         work = [3, 3, 3]
-        choose_pivot(work)
+        choose_pivot(work, 0, 3)
         assert work[0] == 3
 
     def test_front_is_median_random(self):
@@ -80,7 +75,7 @@ class TestChoosePivot:
             arr = [rng.randint(0, 99) for _ in range(n)]
             mid = n // 2
             candidates = sorted([arr[0], arr[mid], arr[n - 1]])
-            choose_pivot(arr)
+            choose_pivot(arr, 0, n)
             assert arr[0] == candidates[1]
 
     def test_ninther_swapless_roundtrip(self):
@@ -89,13 +84,13 @@ class TestChoosePivot:
         # the middle and leaves the range fully ascending again.
         n = 200
         work = list(range(n))
-        choose_pivot(work)
+        choose_pivot(work, 0, n)
         mid = n // 2
         undone = list(work)
         undone[0], undone[mid] = undone[mid], undone[0]
         assert undone == list(range(n))
 
-        res = partition_right(work)
+        res = partition_right(work, 0, n)
         assert res.no_swaps is True
         assert res.pivot_index == mid
         assert work == list(range(n))
@@ -119,12 +114,12 @@ class TestBreakPatterns:
             n = rng.randint(8, 300)
             arr = [rng.randint(0, 9) for _ in range(n)]
             work = list(arr)
-            break_patterns(work)
+            break_patterns(work, 0, n)
             assert Counter(work) == Counter(arr)
 
     def test_quartile_exchange_positions(self):
         work = list(range(16))
-        break_patterns(work)
+        break_patterns(work, 0, 16)
         assert work[0] == 4
         assert work[15] == 11
 
@@ -133,8 +128,8 @@ class TestBreakPatterns:
         for n in (8, 16, 100, 129, 500):
             arr = [rng.randint(0, 99) for _ in range(n)]
             work = list(arr)
-            break_patterns(work)
-            break_patterns(work)
+            break_patterns(work, 0, n)
+            break_patterns(work, 0, n)
             assert work == arr
 
     def test_subrange(self):
@@ -145,9 +140,9 @@ class TestBreakPatterns:
         assert sorted(work[4:16]) == list(range(4, 16))
 
 
-def assert_sorts(arr, **kwargs):
+def assert_sorts(arr):
     work = list(arr)
-    sort(work, **kwargs)
+    sort(work)
     assert work == sorted(arr)
 
 
@@ -212,7 +207,7 @@ class TestSort:
         assert work1 == work2
         assert m1 == m2
 
-    @pytest.mark.parametrize("config", ALL_TOGGLE_CONFIGS)
+    @pytest.mark.parametrize("config", _toggle_configs())
     def test_toggle_soundness(self, config):
         rng = random.Random(16)
         for _ in range(30):
@@ -268,14 +263,12 @@ class TestIntrosortBaseline:
 
     def test_matches_oracle_with_toggles(self):
         rng = random.Random(20)
-        for block in (False, True):
-            cfg = replace(DEFAULT_CONFIG, use_block_partition=block)
-            for _ in range(20):
-                n = rng.randint(0, 600)
-                arr = [rng.randint(0, 20) for _ in range(n)]
-                work = list(arr)
-                introsort_baseline(work, config=cfg)
-                assert work == sorted(arr)
+        for _ in range(20):
+            n = rng.randint(0, 600)
+            arr = [rng.randint(0, 20) for _ in range(n)]
+            work = list(arr)
+            introsort_baseline(work)
+            assert work == sorted(arr)
 
 
 class _WeakList(list):

@@ -16,12 +16,10 @@ import itertools
 import operator
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from pdqsort import (
-    DEFAULT_CONFIG,
     BlockBuffers,
     Metrics,
     block_partition_right,
@@ -32,16 +30,10 @@ from pdqsort import (
     partial_insertion_sort,
     partition_left,
     partition_right,
-    sort,
     sort_with,
     unguarded_insertion_sort,
 )
-from pdqsort.acceptance import TOGGLE_FIELDS
-
-TOGGLE_CONFIGS = [
-    replace(DEFAULT_CONFIG, **dict(zip(TOGGLE_FIELDS, bits)))
-    for bits in itertools.product((False, True), repeat=len(TOGGLE_FIELDS))
-]
+from pdqsort.acceptance import _toggle_configs
 
 
 class Raised(Exception):
@@ -106,7 +98,7 @@ def assert_permutation_kept(run, arr, ks, exc, inline=False):
 
 def _pivot_first(arr):
     work = list(arr)
-    choose_pivot(work)
+    choose_pivot(work, 0, len(work))
     return work
 
 
@@ -147,7 +139,7 @@ def test_kernel_keeps_permutation(name, exc):
 
 
 @pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
-@pytest.mark.parametrize("config", TOGGLE_CONFIGS)
+@pytest.mark.parametrize("config", _toggle_configs())
 def test_sort_keeps_permutation(config, exc):
     rng = random.Random(32)
     arr = [rng.randint(0, 50) for _ in range(300)]
@@ -171,14 +163,14 @@ def test_inline_kernel_keeps_permutation(name, exc):
 
 
 @pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
-@pytest.mark.parametrize("config", TOGGLE_CONFIGS)
+@pytest.mark.parametrize("config", _toggle_configs())
 def test_inline_sort_keeps_permutation(config, exc):
     rng = random.Random(34)
     arr = [rng.randint(0, 50) for _ in range(300)]
 
     def run(work, lt):
         assert lt is operator.lt
-        sort(work, config)
+        sort_with(work, lt, config)
 
     total = calls_made(run, arr, inline=True)
     assert_permutation_kept(run, arr, range(1, total + 1, max(1, total // 120)), exc, inline=True)
@@ -202,15 +194,12 @@ FUZZ_SIZES = (0, 1, 2, 5, 23, 24, 25, 100, 300, 2000)
 @pytest.mark.parametrize("relation", INCONSISTENT)
 def test_inconsistent_relation_keeps_permutation(relation, inline):
     rng = random.Random(35)
-    for config, n, _ in itertools.product(TOGGLE_CONFIGS, FUZZ_SIZES, range(3)):
+    for config, n, _ in itertools.product(_toggle_configs(), FUZZ_SIZES, range(3)):
         arr = [rng.randint(0, n) for _ in range(n)]
         work, ordering = on_path(inline, arr, INCONSISTENT[relation](rng.random()))
         before = list(work)
         try:
-            if inline:
-                sort(work, config)
-            else:
-                sort_with(work, ordering, config)
+            sort_with(work, ordering, config)
         except IndexError:
             pass
         assert same_elements(work, before), (config, n)

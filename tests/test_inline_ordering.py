@@ -17,7 +17,6 @@ import pytest
 from pdqsort import (
     Metrics,
     partition_right,
-    sort,
     sort_with,
     unguarded_insertion_sort,
 )
@@ -90,7 +89,7 @@ def test_sort_inline_matches_sort_with_relation(config):
         for top in (0, 3, 30):
             items = [Keyed(rng.randint(0, top)) for _ in range(n)]
             a, b = list(items), list(items)
-            sort(a, config)
+            sort_with(a, operator.lt, config)
             sort_with(b, lambda x, y: x < y, config)
             assert list(map(id, a)) == list(map(id, b)), (n, top)
             assert [x.key for x in a] == sorted(x.key for x in items)

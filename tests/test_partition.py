@@ -14,19 +14,8 @@ from pdqsort import (
     counting_ordering,
     partition_left,
     partition_right,
-    sort3,
 )
-
-
-def prepare_pivot(arr):
-    """Median-of-(middle, first, last) to the front, like the driver."""
-    work = list(arr)
-    if len(work) == 2:
-        if work[1] < work[0]:
-            work[0], work[1] = work[1], work[0]
-    else:
-        sort3(work, len(work) // 2, 0, len(work) - 1)
-    return work
+from pdqsort.acceptance import _prepare_pivot, _TracingList
 
 
 def check_right_contract(before, after, res):
@@ -41,21 +30,21 @@ def check_right_contract(before, after, res):
 class TestPartitionRight:
     def test_three_distinct(self):
         work = [1, 0, 2]
-        res = partition_right(work)
+        res = partition_right(work, 0, 3)
         assert res.pivot_index == 1
         assert Counter(work[:1]) == Counter([0])
         assert Counter(work[2:]) == Counter([2])
 
     def test_swapless_trace(self):
         work = [5, 1, 2, 7, 9]
-        res = partition_right(work)
+        res = partition_right(work, 0, 5)
         assert work == [2, 1, 5, 7, 9]
         assert res.pivot_index == 2
         assert res.no_swaps is True
 
     def test_duplicates_go_right(self):
         work = [3, 1, 4, 1, 5]
-        res = partition_right(work)
+        res = partition_right(work, 0, 5)
         assert res.pivot_index == 2
         assert Counter(work[:2]) == Counter([1, 1])
         assert Counter(work[3:]) == Counter([4, 5])
@@ -64,7 +53,7 @@ class TestPartitionRight:
         rng = random.Random(3)
         for _ in range(200):
             n = rng.randint(2, 40)
-            arr = prepare_pivot([rng.randint(0, 9) for _ in range(n)])
+            arr = _prepare_pivot([rng.randint(0, 9) for _ in range(n)])
             m = Metrics()
             partition_right(list(arr), 0, n, counting_ordering(operator.lt, m), m)
             assert n - 1 <= m.comparisons <= n + 1
@@ -79,16 +68,16 @@ class TestPartitionRight:
 class TestPartitionLeft:
     def test_examples(self):
         work = [2, 2, 3]
-        res = partition_left(work)
+        res = partition_left(work, 0, 3)
         assert res.pivot_index == 1
         assert work[:2] == [2, 2] and work[2] == 3
 
         work = [4, 4, 4, 4]
-        res = partition_left(work)
+        res = partition_left(work, 0, 4)
         assert res.pivot_index == 3
 
         work = [5, 7, 5, 6, 5]
-        res = partition_left(work)
+        res = partition_left(work, 0, 5)
         assert res.pivot_index == 2
         assert Counter(work[:3]) == Counter([5, 5, 5])
         assert Counter(work[3:]) == Counter([6, 7])
@@ -103,7 +92,7 @@ class TestPartitionLeft:
             arr = [rng.randint(0, 5) for _ in range(n)]
             arr[0] = min(arr)
             pv = arr[0]
-            res = partition_left(arr)
+            res = partition_left(arr, 0, n)
             for x in arr[: res.pivot_index + 1]:
                 assert not x < pv and not pv < x
             assert all(pv < x for x in arr[res.pivot_index + 1 :])
@@ -112,19 +101,19 @@ class TestPartitionLeft:
 class TestBlockPartitionRight:
     def test_trivial_matches_contract(self):
         work = [1, 0, 2]
-        res = block_partition_right(work)
+        res = block_partition_right(work, 0, 3, operator.lt, BlockBuffers.for_block_size())
         assert res.pivot_index == 1
 
     def test_exhaustive_vs_scalar(self):
         for length in range(2, 8):
             for arr in itertools.product(range(3), repeat=length):
-                prepared = prepare_pivot(arr)
+                prepared = _prepare_pivot(arr)
                 scalar = list(prepared)
-                res_s = partition_right(scalar)
+                res_s = partition_right(scalar, 0, length)
                 for block_size in (1, 2, 3, 64):
                     blocked = list(prepared)
                     res_b = block_partition_right(
-                        blocked, buffers=BlockBuffers.for_block_size(block_size)
+                        blocked, 0, length, operator.lt, BlockBuffers.for_block_size(block_size)
                     )
                     check_right_contract(prepared, blocked, res_b)
                     assert res_b.pivot_index == res_s.pivot_index
@@ -139,10 +128,17 @@ class TestBlockPartitionRight:
         # 300 elements forces several 64-element blocks plus a tail; the
         # classification pass looks at each non-pivot element exactly once.
         rng = random.Random(300)
-        arr = prepare_pivot([rng.randint(0, 999) for _ in range(300)])
+        arr = _prepare_pivot([rng.randint(0, 999) for _ in range(300)])
         m_block = Metrics()
         blocked = list(arr)
-        res = block_partition_right(blocked, 0, 300, counting_ordering(operator.lt, m_block), None, m_block)
+        res = block_partition_right(
+            blocked,
+            0,
+            300,
+            counting_ordering(operator.lt, m_block),
+            BlockBuffers.for_block_size(),
+            m_block,
+        )
         check_right_contract(arr, blocked, res)
         assert m_block.comparisons == 299
 
@@ -154,7 +150,7 @@ class TestBlockPartitionRight:
         rng = random.Random(8)
         for _ in range(300):
             n = rng.randint(2, 120)
-            arr = prepare_pivot([rng.randint(0, 6) for _ in range(n)])
+            arr = _prepare_pivot([rng.randint(0, 6) for _ in range(n)])
             work = list(arr)
             m = Metrics()
             res = block_partition_right(work, 0, n, operator.lt, BlockBuffers.for_block_size(8), m)
@@ -171,34 +167,28 @@ class TestBlockPartitionRight:
             BlockBuffers.for_block_size(0)
 
 
-class _Traced(list):
-    def __getitem__(self, idx):
-        assert 0 <= idx < len(self), f"index {idx} out of bounds"
-        return list.__getitem__(self, idx)
-
-    def __setitem__(self, idx, value):
-        assert 0 <= idx < len(self), f"index {idx} out of bounds"
-        list.__setitem__(self, idx, value)
-
-
 def test_no_out_of_bounds_access_exhaustive():
     for length in range(2, 7):
         for arr in itertools.product(range(3), repeat=length):
-            prepared = prepare_pivot(arr)
-            partition_right(_Traced(prepared))
-            block_partition_right(_Traced(prepared), buffers=BlockBuffers.for_block_size(2))
+            prepared = _prepare_pivot(arr)
+            partition_right(_TracingList(prepared), 0, length)
+            block_partition_right(
+                _TracingList(prepared), 0, length, operator.lt, BlockBuffers.for_block_size(2)
+            )
             if arr[0] == min(arr):
-                partition_left(_Traced(arr))
+                partition_left(_TracingList(arr), 0, length)
 
 
 @given(st.lists(st.integers(0, 9), min_size=2, max_size=200), st.integers(1, 80))
 @settings(max_examples=300, deadline=None)
 def test_block_scalar_equivalence_property(arr, block_size):
-    prepared = prepare_pivot(arr)
+    prepared = _prepare_pivot(arr)
     scalar = list(prepared)
-    res_s = partition_right(scalar)
+    res_s = partition_right(scalar, 0, len(scalar))
     blocked = list(prepared)
-    res_b = block_partition_right(blocked, buffers=BlockBuffers.for_block_size(block_size))
+    res_b = block_partition_right(
+        blocked, 0, len(blocked), operator.lt, BlockBuffers.for_block_size(block_size)
+    )
     check_right_contract(prepared, blocked, res_b)
     check_right_contract(prepared, scalar, res_s)
     assert res_b.pivot_index == res_s.pivot_index
@@ -215,9 +205,9 @@ def test_rerunning_swapless_partition_exchanges_nothing():
         arr = [rng.randint(0, 9) for _ in range(n)]
         arr.sort()
         rng_rotate = rng.randint(0, n - 1)
-        arr = prepare_pivot(arr[rng_rotate:] + arr[:rng_rotate])
+        arr = _prepare_pivot(arr[rng_rotate:] + arr[:rng_rotate])
         work = list(arr)
-        res = partition_right(work)
+        res = partition_right(work, 0, n)
         if not res.no_swaps:
             continue
         seen += 1

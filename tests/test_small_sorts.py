@@ -45,12 +45,12 @@ class TestInsertionSort:
     def test_empty_and_single(self):
         for arr in ([], [3]):
             work = list(arr)
-            insertion_sort(work)
+            insertion_sort(work, 0, len(work))
             assert work == arr
 
     def test_one_inversion(self):
         work = [2, 1, 3]
-        insertion_sort(work)
+        insertion_sort(work, 0, 3)
         assert work == [1, 2, 3]
 
     def test_reversed_five_counts(self):
@@ -83,7 +83,7 @@ class TestInsertionSort:
     @given(st.lists(st.integers(-50, 50), max_size=60))
     def test_sorts_any_list(self, arr):
         work = list(arr)
-        insertion_sort(work)
+        insertion_sort(work, 0, len(work))
         assert work == sorted(arr)
 
 
@@ -104,17 +104,17 @@ class _ReadFence(list):
 class TestUnguardedInsertionSort:
     def test_basic(self):
         work = [0, 2, 1]
-        unguarded_insertion_sort(work, 1)
+        unguarded_insertion_sort(work, 1, 3)
         assert work == [0, 1, 2]
 
     def test_all_equal_sentinel(self):
         work = [3, 3, 3, 3]
-        unguarded_insertion_sort(work, 1)
+        unguarded_insertion_sort(work, 1, 4)
         assert work == [3, 3, 3, 3]
 
     def test_derived_example(self):
         work = [1, 9, 7, 8, 2]
-        unguarded_insertion_sort(work, 1)
+        unguarded_insertion_sort(work, 1, 5)
         assert work == [1] + sorted([9, 7, 8, 2])
 
     def test_never_reads_below_predecessor(self):
@@ -124,25 +124,25 @@ class TestUnguardedInsertionSort:
             arr = [rng.randint(1, 9) for _ in range(n)]
             fenced = _ReadFence([0] + arr)
             fenced.fence = 0  # predecessor position is the lowest legal index
-            unguarded_insertion_sort(fenced, 1)
+            unguarded_insertion_sort(fenced, 1, n + 1)
             assert list(fenced) == [0] + sorted(arr)
 
     def test_requires_predecessor(self):
         with pytest.raises(AssertionError):
-            unguarded_insertion_sort([2, 1], 0)
+            unguarded_insertion_sort([2, 1], 0, 2)
 
 
 class TestPartialInsertionSort:
     def test_already_sorted_needs_no_corrections(self):
         work = [1, 2, 3, 4]
         m = Metrics()
-        assert partial_insertion_sort(work, metrics=m) is True
+        assert partial_insertion_sort(work, 0, 4, operator.lt, 8, m) is True
         assert work == [1, 2, 3, 4]
         assert m.element_moves == 0
 
     def test_one_correction_within_budget(self):
         work = [1, 3, 2, 4]
-        assert partial_insertion_sort(work, budget=8) is True
+        assert partial_insertion_sort(work, 0, 4, operator.lt, 8) is True
         assert work == [1, 2, 3, 4]
 
     def test_reversed_64_aborts(self):
@@ -151,16 +151,16 @@ class TestPartialInsertionSort:
         _, lifts, _ = classic_insertion_oracle(list(range(63, -1, -1)))
         assert lifts == 63
         work = list(range(63, -1, -1))
-        assert partial_insertion_sort(work, budget=8) is False
+        assert partial_insertion_sort(work, 0, 64, operator.lt, 8) is False
         assert sorted(work) == list(range(64))
 
     def test_budget_zero(self):
-        assert partial_insertion_sort([1, 2, 3], budget=0) is True
-        assert partial_insertion_sort([2, 1], budget=0) is False
+        assert partial_insertion_sort([1, 2, 3], 0, 3, operator.lt, 0) is True
+        assert partial_insertion_sort([2, 1], 0, 2, operator.lt, 0) is False
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            partial_insertion_sort([1], budget=-1)
+            partial_insertion_sort([1], 0, 1, operator.lt, -1)
 
     @given(st.lists(st.integers(0, 20), max_size=50), st.integers(0, 12))
     @settings(max_examples=200)
@@ -169,7 +169,7 @@ class TestPartialInsertionSort:
         # partial sort must succeed exactly when that count fits.
         _, lifts, _ = classic_insertion_oracle(arr)
         work = list(arr)
-        result = partial_insertion_sort(work, budget=budget)
+        result = partial_insertion_sort(work, 0, len(work), operator.lt, budget)
         assert result == (lifts <= budget)
         if result:
             assert work == sorted(arr)
@@ -181,7 +181,7 @@ class TestHeapsort:
     def test_trivial(self):
         for arr in ([], [3, 1, 2]):
             work = list(arr)
-            heapsort(work)
+            heapsort(work, 0, len(work))
             assert work == sorted(arr)
 
     def test_comparison_bound_random_1024(self):
@@ -201,7 +201,7 @@ class TestHeapsort:
     @given(st.lists(st.integers(-9, 9), max_size=80))
     def test_sorts_any_list(self, arr):
         work = list(arr)
-        heapsort(work)
+        heapsort(work, 0, len(work))
         assert work == sorted(arr)
 
 
@@ -240,14 +240,14 @@ def test_every_small_sort_matches_oracle_exhaustively():
         for arr in itertools.product(range(3), repeat=length):
             expected = sorted(arr)
             work = list(arr)
-            insertion_sort(work)
+            insertion_sort(work, 0, length)
             assert work == expected
             work = list(arr)
-            heapsort(work)
+            heapsort(work, 0, length)
             assert work == expected
             work = list(arr)
-            assert partial_insertion_sort(work, budget=100)
+            assert partial_insertion_sort(work, 0, length, operator.lt, 100)
             assert work == expected
             work = [0] + list(arr)
-            unguarded_insertion_sort(work, 1)
+            unguarded_insertion_sort(work, 1, length + 1)
             assert work == [0] + expected
