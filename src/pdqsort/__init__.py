@@ -16,8 +16,8 @@ verification commands.
 
 ``__all__`` lists the public surface. The kernels, ``BlockBuffers`` and
 ``PartitionResult`` stay importable from here for tests and benchmarks;
-each kernel takes ``(data, begin, end, ..., metrics=None)``, its range
-always given.
+each kernel takes ``(data, begin, end, lt, ..., metrics=None)``, its
+range and ordering always given (``break_patterns`` does not compare).
 """
 
 from .datagen import (

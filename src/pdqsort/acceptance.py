@@ -129,7 +129,7 @@ def _prepare_pivot(arr):
         if work[1] < work[0]:
             work[0], work[1] = work[1], work[0]
     else:
-        sort3(work, len(work) // 2, 0, len(work) - 1)
+        sort3(work, len(work) // 2, 0, len(work) - 1, operator.lt)
     return work
 
 

@@ -24,7 +24,7 @@ from .bench import (
     run_benchmark,
     slowdown_table,
 )
-from .datagen import DISTRIBUTION_KINDS, ELEMENT_TYPES, DistributionSpec, generate, write_array
+from .datagen import DISTRIBUTION_KINDS, DistributionSpec, generate, write_array
 
 DEFAULT_SIZES = "1024..1048576:4"
 DEFAULT_SEED = 0xDE5C

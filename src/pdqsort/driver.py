@@ -79,7 +79,7 @@ def choose_pivot(
     data: MutableSequence,
     begin: int,
     end: int,
-    lt: Ordering = operator.lt,
+    lt: Ordering,
     metrics=None,
 ) -> None:
     """Move a pivot estimate to ``data[begin]``.

@@ -4,8 +4,7 @@ Three primitives over ``data[begin:end)`` with the pivot at ``data[begin]``:
 
 - :func:`partition_right`: crossing-pointers Hoare partition that groups
   elements equal to the pivot into the right partition, one comparison
-  per element (``a < b  iff  not (a >= b)``). Under ``operator.lt`` it
-  runs the same loops with ``<`` written inline.
+  per element (``a < b  iff  not (a >= b)``).
 - :func:`partition_left`: the mirror that groups equal elements into the
   left partition; called when the range's predecessor equals the pivot,
   so its left partition needs no further recursion.
@@ -16,14 +15,16 @@ Three primitives over ``data[begin:end)`` with the pivot at ``data[begin]``:
 All kernels assume the pivot was placed by a median-of-(at-least-)3
 selection, which guarantees an element >= pivot somewhere to its right;
 that element and previously scanned ones serve as sentinels, so the inner
-scans carry no bound checks.
+scans carry no bound checks. Each kernel is written once, against ``lt``;
+:mod:`pdqsort.inline` generates its ``operator.lt`` branch.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, MutableSequence, NamedTuple
+
+from .inline import inline_lt
 
 Ordering = Callable[[Any, Any], bool]
 
@@ -61,11 +62,12 @@ class BlockBuffers:
         return len(self.offsets_left)
 
 
+@inline_lt
 def partition_right(
     data: MutableSequence,
     begin: int,
     end: int,
-    lt: Ordering = operator.lt,
+    lt: Ordering,
     metrics=None,
 ) -> PartitionResult:
     """Partition so that [begin, r) < pivot, data[r] is the pivot, and
@@ -75,62 +77,37 @@ def partition_right(
     j = end
     swaps = 0
 
-    if lt is operator.lt:
-        # The loops of the else branch with ``<`` written inline: the same
-        # comparisons in the same order, without a Python call for each.
-        while data[i] < pivot:
-            i += 1
-        if i - 1 == begin:
-            while i < j:
-                j -= 1
-                if data[j] < pivot:
-                    break
-        else:
-            j -= 1
-            while not data[j] < pivot:
-                j -= 1
-        no_swaps = i >= j
+    # Scan up to the first element >= pivot. Selection guarantees one
+    # exists, so the first iteration needs no bound check.
+    while lt(data[i], pivot):
+        i += 1
+
+    # Scan down to the first element < pivot. Only guarded when the up
+    # scan stopped immediately, i.e. nothing smaller is known to exist
+    # on the left to act as a sentinel.
+    if i - 1 == begin:
         while i < j:
-            data[i], data[j] = data[j], data[i]
-            swaps += 1
-            i += 1
-            while data[i] < pivot:
-                i += 1
             j -= 1
-            while not data[j] < pivot:
-                j -= 1
+            if lt(data[j], pivot):
+                break
     else:
-        # Scan up to the first element >= pivot. Selection guarantees one
-        # exists, so the first iteration needs no bound check.
+        j -= 1
+        while not lt(data[j], pivot):
+            j -= 1
+
+    # If the first misplaced pair already crossed, the range was
+    # partitioned before we touched it.
+    no_swaps = i >= j
+
+    while i < j:
+        data[i], data[j] = data[j], data[i]
+        swaps += 1
+        i += 1
         while lt(data[i], pivot):
             i += 1
-
-        # Scan down to the first element < pivot. Only guarded when the up
-        # scan stopped immediately, i.e. nothing smaller is known to exist
-        # on the left to act as a sentinel.
-        if i - 1 == begin:
-            while i < j:
-                j -= 1
-                if lt(data[j], pivot):
-                    break
-        else:
+        j -= 1
+        while not lt(data[j], pivot):
             j -= 1
-            while not lt(data[j], pivot):
-                j -= 1
-
-        # If the first misplaced pair already crossed, the range was
-        # partitioned before we touched it.
-        no_swaps = i >= j
-
-        while i < j:
-            data[i], data[j] = data[j], data[i]
-            swaps += 1
-            i += 1
-            while lt(data[i], pivot):
-                i += 1
-            j -= 1
-            while not lt(data[j], pivot):
-                j -= 1
 
     pivot_pos = i - 1
     data[begin] = data[pivot_pos]
@@ -143,11 +120,12 @@ def partition_right(
     return PartitionResult(pivot_pos - begin, no_swaps)
 
 
+@inline_lt
 def partition_left(
     data: MutableSequence,
     begin: int,
     end: int,
-    lt: Ordering = operator.lt,
+    lt: Ordering,
     metrics=None,
 ) -> PartitionResult:
     """Partition so that [begin, r] <= pivot and (r, end) > pivot.
@@ -197,6 +175,7 @@ def partition_left(
     return PartitionResult(pivot_pos - begin, False)
 
 
+@inline_lt
 def block_partition_right(
     data: MutableSequence,
     begin: int,

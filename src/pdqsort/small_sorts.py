@@ -6,13 +6,14 @@ Empty and single-element ranges are no-ops, never errors. If ``lt``
 raises (``KeyboardInterrupt`` included), the range is still a
 permutation of its input: the insertion sorts drop the lifted element
 back into the hole on the way out, and everything else only swaps.
+:mod:`pdqsort.inline` generates the ``operator.lt`` branch of each kernel.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import MutableSequence
 
+from .inline import inline_lt
 from .partition import Ordering
 
 
@@ -20,7 +21,7 @@ def insertion_sort(
     data: MutableSequence,
     begin: int,
     end: int,
-    lt: Ordering = operator.lt,
+    lt: Ordering,
     metrics=None,
 ) -> None:
     """Sort ``data[begin:end)`` ascending.
@@ -31,11 +32,12 @@ def insertion_sort(
     partial_insertion_sort(data, begin, end, lt, end - begin, metrics)
 
 
+@inline_lt
 def unguarded_insertion_sort(
     data: MutableSequence,
     begin: int,
     end: int,
-    lt: Ordering = operator.lt,
+    lt: Ordering,
     metrics=None,
 ) -> None:
     """Insertion sort without the inner bound check.
@@ -46,38 +48,23 @@ def unguarded_insertion_sort(
     """
     assert begin > 0, "unguarded insertion sort needs a predecessor"
     moves = 0
-    if lt is operator.lt:
-        # The loop of the else branch with ``<`` written inline: the same
-        # comparisons in the same order, without a Python call for each.
-        for i in range(begin + 1, end):
-            v = data[i]
-            if v < data[i - 1]:
-                j = i - 1
-                data[i] = data[j]
-                try:
-                    while v < data[j - 1]:
-                        data[j] = data[j - 1]
-                        j -= 1
-                finally:
-                    data[j] = v
-                moves += i - j + 2
-    else:
-        for i in range(begin + 1, end):
-            if lt(data[i], data[i - 1]):
-                v = data[i]
-                j = i - 1
-                data[i] = data[j]
-                try:
-                    while lt(v, data[j - 1]):
-                        data[j] = data[j - 1]
-                        j -= 1
-                finally:
-                    data[j] = v
-                moves += i - j + 2
+    for i in range(begin + 1, end):
+        v = data[i]
+        if lt(v, data[i - 1]):
+            j = i - 1
+            data[i] = data[j]
+            try:
+                while lt(v, data[j - 1]):
+                    data[j] = data[j - 1]
+                    j -= 1
+            finally:
+                data[j] = v
+            moves += i - j + 2
     if metrics is not None and moves:
         metrics.element_moves += moves
 
 
+@inline_lt
 def partial_insertion_sort(
     data: MutableSequence,
     begin: int,
@@ -122,6 +109,7 @@ def partial_insertion_sort(
     return True
 
 
+@inline_lt
 def _sift_down(data, begin, root, size, lt):
     swaps = 0
     while True:
@@ -142,7 +130,7 @@ def heapsort(
     data: MutableSequence,
     begin: int,
     end: int,
-    lt: Ordering = operator.lt,
+    lt: Ordering,
     metrics=None,
 ) -> None:
     """In-place siftdown heapsort; the O(n log n) fallback sort."""
@@ -159,12 +147,13 @@ def heapsort(
         metrics.exchanges += swaps
 
 
+@inline_lt
 def sort3(
     data: MutableSequence,
     a: int,
     b: int,
     c: int,
-    lt: Ordering = operator.lt,
+    lt: Ordering,
     metrics=None,
 ) -> None:
     """Permute three positions so data[a] <= data[b] <= data[c].

@@ -5,8 +5,6 @@ prints its criterion's pass/fail line; run with ``-s`` to see them live,
 or use ``pdqsort verify`` for the same suite from the CLI.
 """
 
-import pytest
-
 from pdqsort import acceptance
 
 

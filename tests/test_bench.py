@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pdqsort import DistributionSpec, Metrics, array_digest, generate
+from pdqsort import DistributionSpec, array_digest, generate
 from pdqsort.bench import (
     CSV_COLUMNS,
     TIMING_COLUMNS,

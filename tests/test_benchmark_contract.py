@@ -5,13 +5,14 @@ name to attribute a sort to its layers, and ``benchmark/isolate.py``
 replays the same kernels through ``pdqsort``. These tests read the list
 from ``layers.py`` itself, so renaming or inlining a kernel fails here
 rather than in ``benchmark/run.py --trace 1``. Both also assume one
-calling convention, ``(data, begin, end, ..., metrics)``: the range is
-always passed and the sort's ``Metrics`` comes last.
+calling convention, ``(data, begin, end, lt, ..., metrics)``: the range
+is always passed, so is the ordering of a kernel that compares, and the
+sort's ``Metrics`` comes last.
 
 ``isolate.py`` replays each kernel with the ordering the driver handed
-it. The two kernels that compare inline under ``operator.lt`` must
-therefore receive ``operator.lt`` itself from ``sort()``; otherwise
-their ``kernel.*`` replays would time the generic loops instead.
+it. Every kernel that compares does so inline under ``operator.lt``, so
+each must receive ``operator.lt`` itself from ``sort()``; otherwise its
+``kernel.*`` replays would time the generic loops instead.
 """
 
 import inspect
@@ -34,7 +35,7 @@ def test_every_layer_is_a_driver_global_and_a_package_attribute():
         kernel = getattr(driver, name, None)
         assert callable(kernel), f"pdqsort.driver.{name} is not a callable global"
         assert getattr(pdqsort, name, None) is kernel, f"pdqsort.{name} is not the driver's kernel"
-    assert isinstance(pdqsort.partition_right([1, 0, 2], 0, 3), pdqsort.PartitionResult)
+    assert isinstance(pdqsort.partition_right([1, 0, 2], 0, 3, operator.lt), pdqsort.PartitionResult)
 
 
 def test_every_kernel_takes_a_required_range_and_metrics_last():
@@ -45,6 +46,10 @@ def test_every_kernel_takes_a_required_range_and_metrics_last():
         assert begin.default is end.default is inspect.Parameter.empty, name
         assert params[-1].name == "metrics", name
         assert params[-1].default is None, name
+        lt = [p for p in params if p.name == "lt"]
+        if lt:
+            assert params.index(lt[0]) == 3, name
+            assert lt[0].default is inspect.Parameter.empty, name
 
 
 def test_traced_sort_attributes_every_comparison():
@@ -62,21 +67,34 @@ def test_traced_sort_attributes_every_comparison():
 
 
 def test_sort_hands_operator_lt_to_the_inline_kernels():
-    inline = ("partition_right", "unguarded_insertion_sort")
+    inline = (
+        "partition_right",
+        "partition_left",
+        "insertion_sort",
+        "unguarded_insertion_sort",
+        "partial_insertion_sort",
+        "choose_pivot",
+        "heapsort",
+    )
     orderings = {name: [] for name in inline}
 
     def recording(name, kernel):
         def record(*args):
-            # (data, begin, end, lt, metrics)
+            # (data, begin, end, lt, ..., metrics)
             orderings[name].append(args[3])
             return kernel(*args)
 
         return record
 
-    data = pdqsort.generate(pdqsort.DistributionSpec("uniform", 3000, "int64", seed=42))
+    inputs = [
+        pdqsort.generate(pdqsort.DistributionSpec(kind, 3000, "int64", seed=42))
+        for kind in ("uniform", "dupsq", "sort99")
+    ]
+    inputs.append(pdqsort.adversary_input(3000))
     with wrapped_kernels(inline, recording):
-        pdqsort.sort(data)
-    assert data == sorted(data)
+        for data in inputs:
+            pdqsort.sort(data)
+            assert data == sorted(data)
     for name in inline:
         assert orderings[name], f"sort() never called {name}"
         assert all(lt is operator.lt for lt in orderings[name]), name

@@ -59,13 +59,13 @@ class TestSortConfig:
 class TestChoosePivot:
     def test_median_of_three_trace(self):
         work = [1, 2, 3]
-        choose_pivot(work, 0, 3)
+        choose_pivot(work, 0, 3, operator.lt)
         assert work == [2, 1, 3]
         assert work[0] == sorted([1, 2, 3])[1]
 
     def test_all_equal(self):
         work = [3, 3, 3]
-        choose_pivot(work, 0, 3)
+        choose_pivot(work, 0, 3, operator.lt)
         assert work[0] == 3
 
     def test_front_is_median_random(self):
@@ -75,7 +75,7 @@ class TestChoosePivot:
             arr = [rng.randint(0, 99) for _ in range(n)]
             mid = n // 2
             candidates = sorted([arr[0], arr[mid], arr[n - 1]])
-            choose_pivot(arr, 0, n)
+            choose_pivot(arr, 0, n, operator.lt)
             assert arr[0] == candidates[1]
 
     def test_ninther_swapless_roundtrip(self):
@@ -84,13 +84,13 @@ class TestChoosePivot:
         # the middle and leaves the range fully ascending again.
         n = 200
         work = list(range(n))
-        choose_pivot(work, 0, n)
+        choose_pivot(work, 0, n, operator.lt)
         mid = n // 2
         undone = list(work)
         undone[0], undone[mid] = undone[mid], undone[0]
         assert undone == list(range(n))
 
-        res = partition_right(work, 0, n)
+        res = partition_right(work, 0, n, operator.lt)
         assert res.no_swaps is True
         assert res.pivot_index == mid
         assert work == list(range(n))

@@ -8,8 +8,8 @@ relations and allow ``IndexError`` as the only exception.
 
 The ordering reaches the sort along one of two paths. On the relation
 path it is passed as ``lt``. On the inline path each element carries it
-as its ``<`` and the sort is given ``operator.lt``, which
-``partition_right`` and ``unguarded_insertion_sort`` compare inline.
+as its ``<`` and the sort is given ``operator.lt``, which every kernel
+compares inline.
 """
 
 import itertools
@@ -98,7 +98,7 @@ def assert_permutation_kept(run, arr, ks, exc, inline=False):
 
 def _pivot_first(arr):
     work = list(arr)
-    choose_pivot(work, 0, len(work))
+    choose_pivot(work, 0, len(work), operator.lt)
     return work
 
 
@@ -152,7 +152,7 @@ def test_sort_keeps_permutation(config, exc):
 
 
 @pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
-@pytest.mark.parametrize("name", ["partition_right", "unguarded_insertion_sort"])
+@pytest.mark.parametrize("name", KERNELS)
 def test_inline_kernel_keeps_permutation(name, exc):
     prepare, run = KERNELS[name]
     rng = random.Random(33)

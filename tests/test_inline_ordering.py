@@ -1,22 +1,41 @@
 """The built-in ``<`` path and the generic relation path decide alike.
 
-Given ``operator.lt``, ``partition_right`` and ``unguarded_insertion_sort``
-compare with ``<`` written inline; given any other relation they call it.
-Both must make the same comparisons in the same order, so each test here
-runs one input both ways and requires the same list, element for element
-(compared by identity where equal values are distinct objects), the same
-result and the same counters.
+Given ``operator.lt``, every kernel that compares runs the branch that
+``pdqsort.inline`` generated from its source, with ``<`` written inline;
+given any other relation it calls it. Both must make the same comparisons
+in the same order, so each test here runs one input both ways and
+requires the same list, element for element (compared by identity where
+equal values are distinct objects), the same result and the same
+counters.
 """
 
+import dis
 import itertools
+import linecache
 import operator
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import pdqsort
 from pdqsort import (
+    BlockBuffers,
+    DistributionSpec,
     Metrics,
+    adversary_input,
+    block_partition_right,
+    choose_pivot,
+    generate,
+    heapsort,
+    insertion_sort,
+    partial_insertion_sort,
+    partition_left,
     partition_right,
+    sort,
+    sort3,
     sort_with,
     unguarded_insertion_sort,
 )
@@ -69,6 +88,60 @@ def test_unguarded_insertion_sort_inline_matches_relation():
         assert inline == generic, arr
 
 
+def equal_predecessor(arr):
+    """``arr`` with a least element first as the pivot, behind a
+    predecessor equal to it: the range ``partition_left`` is handed."""
+    i = arr.index(min(arr))
+    return [arr[i], arr[i]] + arr[:i] + arr[i + 1 :]
+
+
+def whole(arr):
+    return list(arr), 0
+
+
+def with_args(kernel, *extra):
+    """``kernel`` called as ``(data, begin, end, lt, *extra, metrics)``."""
+    return lambda data, begin, end, lt, metrics: kernel(data, begin, end, lt, *extra, metrics)
+
+
+def median_of_3(data, begin, end, lt, metrics):
+    sort3(data, begin + (end - begin) // 2, begin, end - 1, lt, metrics)
+
+
+# name -> (input preparation returning (list, begin), kernel call). The
+# seeded lists run from 2 to 200 elements, on both sides of
+# NINTHER_THRESHOLD (128), and small budgets make partial insertion abort.
+KERNELS = {
+    "partition_left": (lambda arr: (equal_predecessor(arr), 1), partition_left),
+    "block_partition_right/2": (
+        lambda arr: (_prepare_pivot(arr), 0),
+        with_args(block_partition_right, BlockBuffers.for_block_size(2)),
+    ),
+    "block_partition_right/64": (
+        lambda arr: (_prepare_pivot(arr), 0),
+        with_args(block_partition_right, BlockBuffers.for_block_size()),
+    ),
+    "partial_insertion_sort/0": (whole, with_args(partial_insertion_sort, 0)),
+    "partial_insertion_sort/8": (whole, with_args(partial_insertion_sort, 8)),
+    "insertion_sort": (whole, insertion_sort),
+    "heapsort": (whole, heapsort),
+    "sort3": (whole, median_of_3),
+    "choose_pivot": (whole, choose_pivot),
+}
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_inline_matches_relation(name):
+    prepare, kernel = KERNELS[name]
+    results = set()
+    for arr in itertools.chain(criterion2_arrays(), random_arrays(54)):
+        inline, generic = both_ways(kernel, *prepare(arr))
+        assert inline == generic, arr
+        results.add(inline[1])
+    if name.startswith("partial_insertion_sort"):
+        assert results == {True, False}
+
+
 class Keyed:
     """Compares by ``key`` alone, so ties are many and the sort's output
     permutation shows in the order of the objects."""
@@ -93,3 +166,65 @@ def test_sort_inline_matches_sort_with_relation(config):
             sort_with(b, lambda x, y: x < y, config)
             assert list(map(id, a)) == list(map(id, b)), (n, top)
             assert [x.key for x in a] == sorted(x.key for x in items)
+
+
+def test_sort_calls_operator_lt_only_for_the_predecessor_check():
+    # With every comparing kernel inline, the one Python-level call of
+    # operator.lt left is _sort_range's check of a range's predecessor.
+    inputs = [
+        generate(DistributionSpec(kind, 3000, "int64", seed=55))
+        for kind in ("uniform", "dupsq", "mod8", "organ")
+    ]
+    inputs.append(adversary_input(3000))
+    callers = Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is operator.lt:
+            callers[frame.f_code.co_name] += 1
+
+    for data in inputs:
+        expected = sorted(data)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            sort(data)
+        finally:
+            sys.setprofile(previous)
+        assert data == expected
+    assert set(callers) == {"loop"}, callers
+
+
+class Poison:
+    """Raises whichever way it is compared."""
+
+    def __lt__(self, other):
+        raise ValueError("poison")
+
+    __gt__ = __lt__
+
+
+def test_inline_branch_traceback_names_the_source_line():
+    library = Path(pdqsort.__file__).parent
+    lines = set()
+    for at in range(1, 8):
+        data = [5, 9, 5, 8, 5, 7, 5, 6]
+        data[at] = Poison()
+        with pytest.raises(ValueError) as caught:
+            partition_left(data, 0, len(data), operator.lt)
+        tb = caught.value.__traceback__
+        frames = []
+        while tb is not None:
+            if Path(tb.tb_frame.f_code.co_filename).parent == library:
+                frames.append(tb)
+            tb = tb.tb_next
+        innermost = frames[-1]
+        code = innermost.tb_frame.f_code
+        assert Path(code.co_filename).name == "partition.py"
+        # The inline branch raised: the failing instruction is a `<`...
+        ops = {ins.offset: ins.opname for ins in dis.get_instructions(code)}
+        assert ops[innermost.tb_lasti] == "COMPARE_OP"
+        # ...reported at the line of the generic lt(...) call.
+        line = linecache.getline(code.co_filename, innermost.tb_lineno)
+        assert "lt(pivot, data[" in line, line
+        lines.add(innermost.tb_lineno)
+    assert len(lines) > 1

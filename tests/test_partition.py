@@ -30,21 +30,21 @@ def check_right_contract(before, after, res):
 class TestPartitionRight:
     def test_three_distinct(self):
         work = [1, 0, 2]
-        res = partition_right(work, 0, 3)
+        res = partition_right(work, 0, 3, operator.lt)
         assert res.pivot_index == 1
         assert Counter(work[:1]) == Counter([0])
         assert Counter(work[2:]) == Counter([2])
 
     def test_swapless_trace(self):
         work = [5, 1, 2, 7, 9]
-        res = partition_right(work, 0, 5)
+        res = partition_right(work, 0, 5, operator.lt)
         assert work == [2, 1, 5, 7, 9]
         assert res.pivot_index == 2
         assert res.no_swaps is True
 
     def test_duplicates_go_right(self):
         work = [3, 1, 4, 1, 5]
-        res = partition_right(work, 0, 5)
+        res = partition_right(work, 0, 5, operator.lt)
         assert res.pivot_index == 2
         assert Counter(work[:2]) == Counter([1, 1])
         assert Counter(work[3:]) == Counter([4, 5])
@@ -60,7 +60,7 @@ class TestPartitionRight:
 
     def test_subrange_untouched_outside(self):
         work = [99, 3, 1, 4, 1, 5, -1]
-        res = partition_right(work, 1, 6)
+        res = partition_right(work, 1, 6, operator.lt)
         assert work[0] == 99 and work[6] == -1
         assert work[1 + res.pivot_index] == 3
 
@@ -68,16 +68,16 @@ class TestPartitionRight:
 class TestPartitionLeft:
     def test_examples(self):
         work = [2, 2, 3]
-        res = partition_left(work, 0, 3)
+        res = partition_left(work, 0, 3, operator.lt)
         assert res.pivot_index == 1
         assert work[:2] == [2, 2] and work[2] == 3
 
         work = [4, 4, 4, 4]
-        res = partition_left(work, 0, 4)
+        res = partition_left(work, 0, 4, operator.lt)
         assert res.pivot_index == 3
 
         work = [5, 7, 5, 6, 5]
-        res = partition_left(work, 0, 5)
+        res = partition_left(work, 0, 5, operator.lt)
         assert res.pivot_index == 2
         assert Counter(work[:3]) == Counter([5, 5, 5])
         assert Counter(work[3:]) == Counter([6, 7])
@@ -92,7 +92,7 @@ class TestPartitionLeft:
             arr = [rng.randint(0, 5) for _ in range(n)]
             arr[0] = min(arr)
             pv = arr[0]
-            res = partition_left(arr, 0, n)
+            res = partition_left(arr, 0, n, operator.lt)
             for x in arr[: res.pivot_index + 1]:
                 assert not x < pv and not pv < x
             assert all(pv < x for x in arr[res.pivot_index + 1 :])
@@ -109,7 +109,7 @@ class TestBlockPartitionRight:
             for arr in itertools.product(range(3), repeat=length):
                 prepared = _prepare_pivot(arr)
                 scalar = list(prepared)
-                res_s = partition_right(scalar, 0, length)
+                res_s = partition_right(scalar, 0, length, operator.lt)
                 for block_size in (1, 2, 3, 64):
                     blocked = list(prepared)
                     res_b = block_partition_right(
@@ -171,12 +171,12 @@ def test_no_out_of_bounds_access_exhaustive():
     for length in range(2, 7):
         for arr in itertools.product(range(3), repeat=length):
             prepared = _prepare_pivot(arr)
-            partition_right(_TracingList(prepared), 0, length)
+            partition_right(_TracingList(prepared), 0, length, operator.lt)
             block_partition_right(
                 _TracingList(prepared), 0, length, operator.lt, BlockBuffers.for_block_size(2)
             )
             if arr[0] == min(arr):
-                partition_left(_TracingList(arr), 0, length)
+                partition_left(_TracingList(arr), 0, length, operator.lt)
 
 
 @given(st.lists(st.integers(0, 9), min_size=2, max_size=200), st.integers(1, 80))
@@ -184,7 +184,7 @@ def test_no_out_of_bounds_access_exhaustive():
 def test_block_scalar_equivalence_property(arr, block_size):
     prepared = _prepare_pivot(arr)
     scalar = list(prepared)
-    res_s = partition_right(scalar, 0, len(scalar))
+    res_s = partition_right(scalar, 0, len(scalar), operator.lt)
     blocked = list(prepared)
     res_b = block_partition_right(
         blocked, 0, len(blocked), operator.lt, BlockBuffers.for_block_size(block_size)
@@ -207,7 +207,7 @@ def test_rerunning_swapless_partition_exchanges_nothing():
         rng_rotate = rng.randint(0, n - 1)
         arr = _prepare_pivot(arr[rng_rotate:] + arr[:rng_rotate])
         work = list(arr)
-        res = partition_right(work, 0, n)
+        res = partition_right(work, 0, n, operator.lt)
         if not res.no_swaps:
             continue
         seen += 1

@@ -45,12 +45,12 @@ class TestInsertionSort:
     def test_empty_and_single(self):
         for arr in ([], [3]):
             work = list(arr)
-            insertion_sort(work, 0, len(work))
+            insertion_sort(work, 0, len(work), operator.lt)
             assert work == arr
 
     def test_one_inversion(self):
         work = [2, 1, 3]
-        insertion_sort(work, 0, 3)
+        insertion_sort(work, 0, 3, operator.lt)
         assert work == [1, 2, 3]
 
     def test_reversed_five_counts(self):
@@ -77,13 +77,13 @@ class TestInsertionSort:
 
     def test_subrange(self):
         work = [9, 3, 1, 2, 0]
-        insertion_sort(work, 1, 4)
+        insertion_sort(work, 1, 4, operator.lt)
         assert work == [9, 1, 2, 3, 0]
 
     @given(st.lists(st.integers(-50, 50), max_size=60))
     def test_sorts_any_list(self, arr):
         work = list(arr)
-        insertion_sort(work, 0, len(work))
+        insertion_sort(work, 0, len(work), operator.lt)
         assert work == sorted(arr)
 
 
@@ -104,17 +104,17 @@ class _ReadFence(list):
 class TestUnguardedInsertionSort:
     def test_basic(self):
         work = [0, 2, 1]
-        unguarded_insertion_sort(work, 1, 3)
+        unguarded_insertion_sort(work, 1, 3, operator.lt)
         assert work == [0, 1, 2]
 
     def test_all_equal_sentinel(self):
         work = [3, 3, 3, 3]
-        unguarded_insertion_sort(work, 1, 4)
+        unguarded_insertion_sort(work, 1, 4, operator.lt)
         assert work == [3, 3, 3, 3]
 
     def test_derived_example(self):
         work = [1, 9, 7, 8, 2]
-        unguarded_insertion_sort(work, 1, 5)
+        unguarded_insertion_sort(work, 1, 5, operator.lt)
         assert work == [1] + sorted([9, 7, 8, 2])
 
     def test_never_reads_below_predecessor(self):
@@ -124,12 +124,12 @@ class TestUnguardedInsertionSort:
             arr = [rng.randint(1, 9) for _ in range(n)]
             fenced = _ReadFence([0] + arr)
             fenced.fence = 0  # predecessor position is the lowest legal index
-            unguarded_insertion_sort(fenced, 1, n + 1)
+            unguarded_insertion_sort(fenced, 1, n + 1, operator.lt)
             assert list(fenced) == [0] + sorted(arr)
 
     def test_requires_predecessor(self):
         with pytest.raises(AssertionError):
-            unguarded_insertion_sort([2, 1], 0, 2)
+            unguarded_insertion_sort([2, 1], 0, 2, operator.lt)
 
 
 class TestPartialInsertionSort:
@@ -181,7 +181,7 @@ class TestHeapsort:
     def test_trivial(self):
         for arr in ([], [3, 1, 2]):
             work = list(arr)
-            heapsort(work, 0, len(work))
+            heapsort(work, 0, len(work), operator.lt)
             assert work == sorted(arr)
 
     def test_comparison_bound_random_1024(self):
@@ -195,23 +195,23 @@ class TestHeapsort:
 
     def test_subrange(self):
         work = [5, 4, 3, 2, 1]
-        heapsort(work, 1, 4)
+        heapsort(work, 1, 4, operator.lt)
         assert work == [5, 2, 3, 4, 1]
 
     @given(st.lists(st.integers(-9, 9), max_size=80))
     def test_sorts_any_list(self, arr):
         work = list(arr)
-        heapsort(work, 0, len(work))
+        heapsort(work, 0, len(work), operator.lt)
         assert work == sorted(arr)
 
 
 class TestSort3:
     def test_examples(self):
         work = [3, 1, 2]
-        sort3(work, 0, 1, 2)
+        sort3(work, 0, 1, 2, operator.lt)
         assert work == [1, 2, 3]
         work = [1, 1, 0]
-        sort3(work, 0, 1, 2)
+        sort3(work, 0, 1, 2, operator.lt)
         assert work == [0, 1, 1]
 
     def test_all_permutations(self):
@@ -240,14 +240,14 @@ def test_every_small_sort_matches_oracle_exhaustively():
         for arr in itertools.product(range(3), repeat=length):
             expected = sorted(arr)
             work = list(arr)
-            insertion_sort(work, 0, length)
+            insertion_sort(work, 0, length, operator.lt)
             assert work == expected
             work = list(arr)
-            heapsort(work, 0, length)
+            heapsort(work, 0, length, operator.lt)
             assert work == expected
             work = list(arr)
             assert partial_insertion_sort(work, 0, length, operator.lt, 100)
             assert work == expected
             work = [0] + list(arr)
-            unguarded_insertion_sort(work, 1, length + 1)
+            unguarded_insertion_sort(work, 1, length + 1, operator.lt)
             assert work == [0] + expected
