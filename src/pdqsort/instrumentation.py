@@ -23,7 +23,9 @@ class Metrics:
     ``comparisons`` counts ordering-relation calls; ``exchanges`` counts
     two-element swaps (one resolved pair per block-round entry);
     ``element_moves`` counts single-element relocations (insertion-sort
-    hole shifting, pivot placement). ``max_depth`` is the deepest
+    hole shifting, pivot placement, and in heapsort each lift of the
+    element to sift, each hole fill and each drop; heapsort makes no
+    exchanges). ``max_depth`` is the deepest
     recursive call, with the top-level call at depth 0.
     ``distinct_pivot_reuse`` maps pivot values to times chosen and is only
     populated when pivot tracing was requested.

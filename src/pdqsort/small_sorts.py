@@ -4,8 +4,9 @@ Every function here works in place on ``data[begin:end)`` under a strict
 weak ordering ``lt``, where ``lt(a, b)`` means ``a`` sorts before ``b``.
 Empty and single-element ranges are no-ops, never errors. If ``lt``
 raises (``KeyboardInterrupt`` included), the range is still a
-permutation of its input: the insertion sorts drop the lifted element
-back into the hole on the way out, and everything else only swaps.
+permutation of its input: the insertion sorts and heapsort drop the
+lifted element back into the hole on the way out, and ``sort3`` only
+swaps.
 :mod:`pdqsort.inline` generates the ``operator.lt`` branch of each kernel.
 """
 
@@ -110,20 +111,43 @@ def partial_insertion_sort(
 
 
 @inline_lt
-def _sift_down(data, begin, root, size, lt):
-    swaps = 0
-    while True:
-        child = 2 * root + 1
-        if child >= size:
-            break
-        if child + 1 < size and lt(data[begin + child], data[begin + child + 1]):
-            child += 1
-        if not lt(data[begin + root], data[begin + child]):
-            break
-        data[begin + root], data[begin + child] = data[begin + child], data[begin + root]
-        swaps += 1
-        root = child
-    return swaps
+def _sift_down(data, begin, root, size, lt, v):
+    """Sift ``v`` into the heap ``data[begin:begin + size)`` from the hole
+    at ``root``; return the number of hole fills.
+
+    Bottom-up, as libstdc++'s ``__adjust_heap``: the hole first sinks to a
+    leaf, taking the larger child on every level for one ``lt`` each, and
+    ``v`` then rises from there toward ``root`` past every parent less
+    than it. The descent reads only children below ``size`` and the ascent
+    stops at ``root``, whatever ``lt`` answers.
+    """
+    # Absolute indices: the children of i are 2*i + skew and 2*i + skew + 1,
+    # its parent is (i - skew) // 2.
+    skew = 1 - begin
+    top = hole = begin + root
+    last = begin + size - 1
+    child = 2 * hole + skew
+    try:
+        while child < last:
+            if lt(data[child], data[child + 1]):
+                child += 1
+            data[hole] = data[child]
+            hole = child
+            child = 2 * hole + skew
+        if child == last:
+            data[hole] = data[child]
+            hole = child
+        leaf = hole
+        while hole > top:
+            parent = (hole - skew) // 2
+            if not lt(data[parent], v):
+                break
+            data[hole] = data[parent]
+            hole = parent
+    finally:
+        data[hole] = v
+    # Levels down to the leaf plus levels back up, from the heap depths.
+    return 2 * (leaf + skew).bit_length() - (top + skew).bit_length() - (hole + skew).bit_length()
 
 
 def heapsort(
@@ -133,18 +157,28 @@ def heapsort(
     lt: Ordering,
     metrics=None,
 ) -> None:
-    """In-place siftdown heapsort; the O(n log n) fallback sort."""
+    """In-place bottom-up heapsort; the O(n log n) fallback sort.
+
+    ``std::make_heap`` then ``std::sort_heap``, as the reference
+    ``pdqsort.h`` runs them: every sift is :func:`_sift_down`'s bottom-up
+    sift, which makes one comparison per level on the way down and stops
+    early on the way up, about n log2 n + 0.8n comparisons in all. A pop
+    lifts the last element, moves the root into its slot and sifts the
+    lifted element from the root; there are no two-element swaps.
+    ``element_moves`` counts each lift, hole fill and drop.
+    """
     n = end - begin
     if n < 2:
         return
-    swaps = 0
+    moves = 0
     for root in range(n // 2 - 1, -1, -1):
-        swaps += _sift_down(data, begin, root, n, lt)
+        moves += 2 + _sift_down(data, begin, root, n, lt, data[begin + root])
     for size in range(n - 1, 0, -1):
-        data[begin], data[begin + size] = data[begin + size], data[begin]
-        swaps += 1 + _sift_down(data, begin, 0, size, lt)
+        v = data[begin + size]
+        data[begin + size] = data[begin]
+        moves += 3 + _sift_down(data, begin, 0, size, lt, v)
     if metrics is not None:
-        metrics.exchanges += swaps
+        metrics.element_moves += moves
 
 
 @inline_lt

@@ -12,9 +12,11 @@ as its ``<`` and the sort is given ``operator.lt``, which every kernel
 compares inline.
 """
 
+import inspect
 import itertools
 import operator
 import random
+import traceback
 from collections import Counter
 
 import pytest
@@ -30,6 +32,7 @@ from pdqsort import (
     partial_insertion_sort,
     partition_left,
     partition_right,
+    small_sorts,
     sort_with,
     unguarded_insertion_sort,
 )
@@ -87,6 +90,12 @@ def calls_made(run, arr, inline=False):
     return m.comparisons
 
 
+def sweep_inputs(prepare, seed):
+    """The five inputs of one kernel's raise-at-call-k sweep."""
+    rng = random.Random(seed)
+    return [prepare([rng.randint(0, 9) for _ in range(40)]) for _ in range(5)]
+
+
 def assert_permutation_kept(run, arr, ks, exc, inline=False):
     for k in ks:
         work, ordering = on_path(inline, arr, raising_at(k, exc))
@@ -131,9 +140,7 @@ KERNELS = {
 @pytest.mark.parametrize("name", KERNELS)
 def test_kernel_keeps_permutation(name, exc):
     prepare, run = KERNELS[name]
-    rng = random.Random(31)
-    for _ in range(5):
-        arr = prepare([rng.randint(0, 9) for _ in range(40)])
+    for arr in sweep_inputs(prepare, 31):
         total = calls_made(run, arr)
         assert_permutation_kept(run, arr, range(1, total + 1), exc)
 
@@ -155,11 +162,35 @@ def test_sort_keeps_permutation(config, exc):
 @pytest.mark.parametrize("name", KERNELS)
 def test_inline_kernel_keeps_permutation(name, exc):
     prepare, run = KERNELS[name]
-    rng = random.Random(33)
-    for _ in range(5):
-        arr = prepare([rng.randint(0, 9) for _ in range(40)])
+    for arr in sweep_inputs(prepare, 33):
         total = calls_made(run, arr, inline=True)
         assert_permutation_kept(run, arr, range(1, total + 1), exc, inline=True)
+
+
+def _line_of(module, text):
+    (line,) = (i for i, s in enumerate(inspect.getsource(module).splitlines(), 1) if text in s)
+    return line
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+def test_heapsort_sweep_raises_in_descent_and_ascent(inline):
+    # The sweeps above must reach both comparisons of the bottom-up sift,
+    # so both loops are shown to drop the held element back on a raise.
+    descent = _line_of(small_sorts, "lt(data[child], data[child + 1])")
+    ascent = _line_of(small_sorts, "lt(data[parent], v)")
+    prepare, run = KERNELS["heapsort"]
+    raised_at = set()
+    for arr in sweep_inputs(prepare, 33 if inline else 31):
+        for k in range(1, calls_made(run, arr, inline) + 1):
+            work, ordering = on_path(inline, arr, raising_at(k, Raised))
+            with pytest.raises(Raised) as info:
+                run(work, ordering)
+            raised_at.update(
+                line
+                for frame, line in traceback.walk_tb(info.tb)
+                if frame.f_code.co_name == "_sift_down"
+            )
+    assert raised_at == {descent, ascent}
 
 
 @pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
@@ -203,3 +234,37 @@ def test_inconsistent_relation_keeps_permutation(relation, inline):
         except IndexError:
             pass
         assert same_elements(work, before), (config, n)
+
+
+class _Fenced(list):
+    """Fails the test on any read or write outside ``[lo, hi)``."""
+
+    def __init__(self, items, lo, hi):
+        super().__init__(items)
+        self.lo, self.hi = lo, hi
+
+    def __getitem__(self, idx):
+        assert self.lo <= idx < self.hi, f"read outside the range: {idx}"
+        return list.__getitem__(self, idx)
+
+    def __setitem__(self, idx, value):
+        assert self.lo <= idx < self.hi, f"write outside the range: {idx}"
+        list.__setitem__(self, idx, value)
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+@pytest.mark.parametrize("relation", INCONSISTENT)
+def test_inconsistent_relation_heapsort_stays_in_its_range(relation, inline):
+    # The descent reads only children below the heap size and the ascent
+    # stops at the root, so heapsort needs no consistent answer to stay
+    # inside data[begin:end) and raise nothing.
+    rng = random.Random(36)
+    for n, _ in itertools.product(FUZZ_SIZES, range(3)):
+        arr = [rng.randint(0, n) for _ in range(n)]
+        work, ordering = on_path(inline, arr, INCONSISTENT[relation](rng.random()))
+        below, above = object(), object()
+        fenced = _Fenced([below, *work, above], 1, n + 1)
+        heapsort(fenced, 1, n + 1, ordering)
+        after = list(fenced)
+        assert after[0] is below and after[-1] is above
+        assert same_elements(after[1:-1], work), n

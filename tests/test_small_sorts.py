@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 
@@ -184,14 +185,43 @@ class TestHeapsort:
             heapsort(work, 0, len(work), operator.lt)
             assert work == sorted(arr)
 
-    def test_comparison_bound_random_1024(self):
-        rng = random.Random(1024)
-        arr = list(range(1024))
-        rng.shuffle(arr)
+    @pytest.mark.parametrize("n", (1 << 6, 1 << 10, 1 << 14))
+    @pytest.mark.parametrize("kind", ("shuffled", "ascending", "descending", "equal"))
+    def test_comparison_bound(self, kind, n):
+        # One comparison per level down, and an ascent that mostly stops at
+        # once: n log2 n + 0.8n at most on these inputs. A sift-down that
+        # compares both children on every level needs up to n log2 n + 11.7n.
+        arr = {
+            "shuffled": random.Random(n).sample(range(n), n),
+            "ascending": list(range(n)),
+            "descending": list(range(n, 0, -1)),
+            "equal": [7] * n,
+        }[kind]
+        work = list(arr)
         m = Metrics()
-        heapsort(arr, 0, 1024, counting_ordering(operator.lt, m), m)
-        assert arr == list(range(1024))
-        assert m.comparisons <= 3 * 1024 * 10
+        heapsort(work, 0, n, counting_ordering(operator.lt, m), m)
+        assert work == sorted(arr)
+        assert m.comparisons <= n * math.log2(n) + 2 * n
+
+    def test_element_moves_count_every_lift_and_store(self):
+        # As in the insertion sorts, a lift into the held value counts as a
+        # move: one per sift, n // 2 to build the heap and n - 1 pops.
+        class Stores(list):
+            count = 0
+
+            def __setitem__(self, idx, value):
+                Stores.count += 1
+                list.__setitem__(self, idx, value)
+
+        rng = random.Random(8)
+        for n in (2, 3, 7, 64, 100):
+            work = Stores([rng.randint(0, 9) for _ in range(n)])
+            Stores.count = 0
+            m = Metrics()
+            heapsort(work, 0, n, operator.lt, m)
+            assert work == sorted(work)
+            assert m.element_moves == Stores.count + n // 2 + n - 1
+            assert m.exchanges == 0
 
     def test_subrange(self):
         work = [5, 4, 3, 2, 1]
