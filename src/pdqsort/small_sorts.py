@@ -4,9 +4,10 @@ Every function here works in place on ``data[begin:end)`` under a strict
 weak ordering ``lt``, where ``lt(a, b)`` means ``a`` sorts before ``b``.
 Empty and single-element ranges are no-ops, never errors. If ``lt``
 raises (``KeyboardInterrupt`` included), the range is still a
-permutation of its input: the insertion sorts and heapsort drop the
-lifted element back into the hole on the way out, and ``sort3`` only
-swaps.
+permutation of its input: the insertion sorts and heapsort drop each
+lifted element back into a hole on the way out (the pair insertion sort
+of non-leftmost ranges holds two lifted elements and two holes while it
+scans for the larger), and ``sort3`` only swaps.
 :mod:`pdqsort.inline` generates the ``operator.lt`` branch of each kernel.
 """
 
@@ -41,26 +42,60 @@ def unguarded_insertion_sort(
     lt: Ordering,
     metrics=None,
 ) -> None:
-    """Insertion sort without the inner bound check.
+    """Pair insertion sort without a bound check, as the non-leftmost
+    branch of OpenJDK's ``DualPivotQuicksort``.
+
+    The ascending prefix is skipped first, one ``lt`` per element. From
+    the first descent on, elements are lifted two at a time and ordered,
+    so ``a1`` is the larger and ``a2`` the smaller. Every prefix element
+    greater than ``a1`` moves up two slots, through the two holes, and
+    ``a1`` is dropped; the scan then goes on down, moving every element
+    greater than ``a2`` up one slot, and ``a2`` is dropped into the last
+    hole. The prefix above ``a1`` is scanned once for both. An element
+    left over at the end is inserted alone. If ``lt`` raises, ``a1`` and
+    ``a2`` are dropped into the holes open at that moment.
+    ``element_moves`` counts each lift, hole fill and drop.
 
     Contract: ``data[begin - 1]`` exists and compares <= every element of
-    the range, so it stops the inner scan as a sentinel. Callers must only
+    the range, so it stops both scans as a sentinel. Callers must only
     use this on ranges that are not leftmost in their buffer.
     """
     assert begin > 0, "unguarded insertion sort needs a predecessor"
+    i = begin + 1
+    while i < end and not lt(data[i], data[i - 1]):
+        i += 1
     moves = 0
-    for i in range(begin + 1, end):
-        v = data[i]
-        if lt(v, data[i - 1]):
-            j = i - 1
-            data[i] = data[j]
+    while i + 1 < end:
+        a1 = data[i]
+        a2 = data[i + 1]
+        if lt(a1, a2):
+            a1, a2 = a2, a1
+        j = i - 1
+        try:
             try:
-                while lt(v, data[j - 1]):
-                    data[j] = data[j - 1]
+                while lt(a1, data[j]):
+                    data[j + 2] = data[j]
                     j -= 1
             finally:
-                data[j] = v
-            moves += i - j + 2
+                data[j + 2] = a1
+            while lt(a2, data[j]):
+                data[j + 1] = data[j]
+                j -= 1
+        finally:
+            data[j + 1] = a2
+        # Two lifts, i - 1 - j fills and two drops.
+        moves += i + 3 - j
+        i += 2
+    if i < end:
+        v = data[i]
+        j = i - 1
+        try:
+            while lt(v, data[j]):
+                data[j + 1] = data[j]
+                j -= 1
+        finally:
+            data[j + 1] = v
+        moves += i + 1 - j
     if metrics is not None and moves:
         metrics.element_moves += moves
 

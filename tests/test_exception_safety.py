@@ -91,9 +91,10 @@ def calls_made(run, arr, inline=False):
 
 
 def sweep_inputs(prepare, seed):
-    """The five inputs of one kernel's raise-at-call-k sweep."""
+    """The five inputs of one kernel's raise-at-call-k sweep, of even and
+    odd lengths."""
     rng = random.Random(seed)
-    return [prepare([rng.randint(0, 9) for _ in range(40)]) for _ in range(5)]
+    return [prepare([rng.randint(0, 9) for _ in range(40 + i % 2)]) for i in range(5)]
 
 
 def assert_permutation_kept(run, arr, ks, exc, inline=False):
@@ -172,13 +173,10 @@ def _line_of(module, text):
     return line
 
 
-@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
-def test_heapsort_sweep_raises_in_descent_and_ascent(inline):
-    # The sweeps above must reach both comparisons of the bottom-up sift,
-    # so both loops are shown to drop the held element back on a raise.
-    descent = _line_of(small_sorts, "lt(data[child], data[child + 1])")
-    ascent = _line_of(small_sorts, "lt(data[parent], v)")
-    prepare, run = KERNELS["heapsort"]
+def lines_raised(name, function, inline):
+    """The lines of ``function`` at which the sweeps above raise, run
+    through kernel ``name``."""
+    prepare, run = KERNELS[name]
     raised_at = set()
     for arr in sweep_inputs(prepare, 33 if inline else 31):
         for k in range(1, calls_made(run, arr, inline) + 1):
@@ -188,9 +186,37 @@ def test_heapsort_sweep_raises_in_descent_and_ascent(inline):
             raised_at.update(
                 line
                 for frame, line in traceback.walk_tb(info.tb)
-                if frame.f_code.co_name == "_sift_down"
+                if frame.f_code.co_name == function
             )
-    assert raised_at == {descent, ascent}
+    return raised_at
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+def test_heapsort_sweep_raises_in_descent_and_ascent(inline):
+    # The sweeps above must reach both comparisons of the bottom-up sift,
+    # so both loops are shown to drop the held element back on a raise.
+    descent = _line_of(small_sorts, "lt(data[child], data[child + 1])")
+    ascent = _line_of(small_sorts, "lt(data[parent], v)")
+    assert lines_raised("heapsort", "_sift_down", inline) == {descent, ascent}
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+def test_unguarded_insertion_sort_sweep_raises_at_every_comparison(inline):
+    # The prefix skip and the pair's order hold no lifted element; the
+    # larger-element scan holds two holes, the smaller-element scan and the
+    # tail one. The sweeps must raise at each, so each is shown to leave a
+    # permutation.
+    lines = {
+        _line_of(small_sorts, text)
+        for text in (
+            "not lt(data[i], data[i - 1])",
+            "lt(a1, a2)",
+            "lt(a1, data[j])",
+            "lt(a2, data[j])",
+            "lt(v, data[j])",
+        )
+    }
+    assert lines_raised("unguarded_insertion_sort", "unguarded_insertion_sort", inline) == lines
 
 
 @pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -128,6 +129,28 @@ class TestUnguardedInsertionSort:
             unguarded_insertion_sort(fenced, 1, n + 1, operator.lt)
             assert list(fenced) == [0] + sorted(arr)
 
+    def test_pair_insertion_saves_comparisons(self):
+        # The one-at-a-time unguarded insertion sort makes exactly
+        # inversions + k - 1 comparisons on k elements. Inserting two per
+        # pass scans the prefix above the larger one once for both.
+        def comparisons(arr):
+            work = [min(arr)] + arr
+            m = Metrics()
+            unguarded_insertion_sort(work, 1, len(work), counting_ordering(operator.lt, m), m)
+            assert work == [min(arr)] + sorted(arr)
+            return m.comparisons
+
+        rng = random.Random(10)
+        one_at_a_time = made = 0
+        for k in range(2, 24):
+            assert comparisons(list(range(k))) == k - 1
+            for _ in range(20):
+                arr = rng.sample(range(k), k)
+                inversions = sum(a > b for a, b in itertools.combinations(arr, 2))
+                one_at_a_time += inversions + k - 1
+                made += comparisons(arr)
+        assert made <= 0.9 * one_at_a_time
+
     def test_requires_predecessor(self):
         with pytest.raises(AssertionError):
             unguarded_insertion_sort([2, 1], 0, 2, operator.lt)
@@ -205,7 +228,11 @@ class TestHeapsort:
 
     def test_element_moves_count_every_lift_and_store(self):
         # As in the insertion sorts, a lift into the held value counts as a
-        # move: one per sift, n // 2 to build the heap and n - 1 pops.
+        # move. Heapsort lifts one element per sift: n // 2 to build the
+        # heap and n - 1 pops. The pair insertion sort, behind a min
+        # sentinel, lifts every element from the first descent on, two per
+        # pass and the last one alone when their number is odd; the inputs
+        # must give both an odd and an even number of lifts.
         class Stores(list):
             count = 0
 
@@ -213,15 +240,32 @@ class TestHeapsort:
                 Stores.count += 1
                 list.__setitem__(self, idx, value)
 
+        def first_descent(arr):
+            return next((i for i in range(1, len(arr)) if arr[i] < arr[i - 1]), len(arr))
+
+        kernels = (
+            (heapsort, lambda arr: arr, 0, lambda arr: len(arr) // 2 + len(arr) - 1),
+            (
+                unguarded_insertion_sort,
+                lambda arr: [min(arr)] + arr,
+                1,
+                lambda arr: len(arr) - first_descent(arr),
+            ),
+        )
         rng = random.Random(8)
-        for n in (2, 3, 7, 64, 100):
-            work = Stores([rng.randint(0, 9) for _ in range(n)])
-            Stores.count = 0
-            m = Metrics()
-            heapsort(work, 0, n, operator.lt, m)
-            assert work == sorted(work)
-            assert m.element_moves == Stores.count + n // 2 + n - 1
-            assert m.exchanges == 0
+        for kernel, prepare, begin, lifts in kernels:
+            parities = set()
+            for n, _ in itertools.product((2, 3, 7, 8, 23, 64, 100), range(4)):
+                arr = [rng.randint(0, 9) for _ in range(n)]
+                work = Stores(prepare(arr))
+                Stores.count = 0
+                m = Metrics()
+                kernel(work, begin, len(work), operator.lt, m)
+                assert work == sorted(work)
+                assert m.element_moves == Stores.count + lifts(arr)
+                assert m.exchanges == 0
+                parities.add(lifts(arr) % 2)
+            assert parities == {0, 1}
 
     def test_subrange(self):
         work = [5, 4, 3, 2, 1]
@@ -245,8 +289,6 @@ class TestSort3:
         assert work == [0, 1, 1]
 
     def test_all_permutations(self):
-        import itertools
-
         for perm in itertools.permutations([1, 2, 3]):
             work = list(perm)
             m = Metrics()
@@ -264,8 +306,6 @@ class TestSort3:
 def test_every_small_sort_matches_oracle_exhaustively():
     # All arrays of length <= 8 over {0,1,2} (partial budget high enough
     # to always succeed, so every routine must fully sort).
-    import itertools
-
     for length in range(0, 9):
         for arr in itertools.product(range(3), repeat=length):
             expected = sorted(arr)
