@@ -33,7 +33,6 @@ from .driver import (
     break_patterns,
     choose_pivot,
     introsort_baseline,
-    is_bad_partition,
     sort,
     sort_with,
 )

@@ -1,9 +1,9 @@
 """The hybrid sort driver.
 
-Each call on a subrange either runs an insertion sort (small ranges),
-falls back to heapsort (exhausted bad-partition budget), or selects a
-pivot and partitions. Equal-to-predecessor pivots dispatch to
-partition_left, whose left partition needs no recursion; otherwise
+Each range the sort loop takes up either runs an insertion sort (small
+ranges), falls back to heapsort (exhausted bad-partition budget), or
+selects a pivot and partitions. Equal-to-predecessor pivots dispatch to
+partition_left, whose left partition needs no more work; otherwise
 partition_right runs, or block_partition_right when
 ``SortConfig.use_block_partition`` is set (off by default: under CPython
 the block layout is slower, see the README).
@@ -12,8 +12,9 @@ the range is *bad*: it costs one unit of the log2(n) budget and the pivot
 candidates of both children are swapped with quartile elements to break
 the pattern. A swapless, non-bad partition triggers an optimistic partial
 insertion sort over both sides that finishes nearly-sorted inputs in
-linear time. Recursion always descends into the smaller partition and
-iterates on the larger, bounding the call depth by about log2(n).
+linear time. The loop goes on with the smaller side of each partition
+and keeps the larger on an explicit stack of pending ranges, so at most
+about log2(n) ranges wait at any time, in a few tuples of ints.
 
 The whole sort is deterministic: identical input and config give an
 identical output permutation and identical instrumentation counters.
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import MutableSequence
 
 from .partition import (
+    NOT_STRICT_WEAK,
     BlockBuffers,
     Ordering,
     block_partition_right,
@@ -54,6 +56,9 @@ BAD_PARTITION_SHIFT = 3
 # Partitions shorter than this have no quartile positions distinct from
 # their pivot-candidate positions, so pattern breaking skips them.
 MIN_BREAK_SIZE = 8
+
+# The modules whose kernels subscript the list being sorted.
+_KERNEL_MODULES = frozenset((__name__, partition_right.__module__, heapsort.__module__))
 
 
 @dataclass(frozen=True)
@@ -107,12 +112,6 @@ def choose_pivot(
         sort3(data, mid, begin, end - 1, lt, metrics)
 
 
-def is_bad_partition(left_size: int, right_size: int, total: int) -> bool:
-    """True iff either side is smaller than total * 2**-BAD_PARTITION_SHIFT."""
-    threshold = total >> BAD_PARTITION_SHIFT
-    return left_size < threshold or right_size < threshold
-
-
 def break_patterns(
     data: MutableSequence,
     begin: int,
@@ -142,6 +141,19 @@ def break_patterns(
         metrics.exchanges += 2 * pairs
 
 
+def _raised_in_a_kernel(exc: BaseException) -> bool:
+    """True iff the innermost frame of ``exc``'s traceback is in a kernel
+    module: an IndexError raised there is a scan that left the list.
+
+    A function of its own, so that the traceback it walks is not held by
+    a local of the sort loop's frame, which that traceback holds in turn.
+    """
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_globals.get("__name__") in _KERNEL_MODULES
+
+
 def _sort_range(
     data: MutableSequence,
     lt: Ordering,
@@ -152,9 +164,26 @@ def _sort_range(
 ) -> None:
     """Sort all of ``data``: the one sort loop behind every entry point.
 
+    One loop works on one range at a time, held in locals with its share
+    of the bad-partition budget and whether it is leftmost. A partition
+    pushes its larger side onto ``pending`` and the loop goes on with the
+    smaller side; a range that is sorted (a leaf, a heapsort, or both
+    sides finished by the optimistic path) makes way for the range pushed
+    last. The ranges are visited in the order of a recursion into the
+    smaller side, and the range's depth in that recursion is the number
+    of ranges pending. It is at most log2(n): each pending range was
+    pushed as the loop went on with a side at most half of their parent,
+    and the range being sorted lies inside every such side.
+
     ``depth_limit=True`` turns the bad-partition budget into introsort's
     depth limit: every partition spends one of 2*floor(log2 n) units and
     no partition is judged bad. Only :func:`introsort_baseline` sets it.
+
+    A kernel subscript that leaves the list (an ordering that is not a
+    strict weak ordering can carry a scan past its sentinel) raises
+    ``ValueError``, chained to the ``IndexError``; the list is still a
+    permutation. An ``IndexError`` raised in the caller's Python code,
+    such as the ordering or an element's ``__lt__``, propagates as it is.
     """
     use_block = config.use_block_partition
     use_left = config.use_partition_left
@@ -176,9 +205,16 @@ def _sort_range(
             metrics.partial_insertion_aborts += 1
         return ok
 
-    def loop(begin, end, bad_allowed, leftmost, depth):
-        if metrics is not None and depth > metrics.max_depth:
-            metrics.max_depth = depth
+    begin = 0
+    end = len(data)
+    bad_allowed = end.bit_length() - 1 if end > 0 else 0
+    if depth_limit:
+        bad_allowed *= 2
+    leftmost = True
+    # (begin, end, bad_allowed, leftmost) of each range waiting for the
+    # loop: the larger side of every partition still open.
+    pending = []
+    try:
         while True:
             size = end - begin
             if size < INSERTION_THRESHOLD:
@@ -186,73 +222,77 @@ def _sort_range(
                     insertion_sort(data, begin, end, lt, metrics)
                 else:
                     unguarded_insertion_sort(data, begin, end, lt, metrics)
-                return
-            if bad_allowed == 0:
+            elif bad_allowed == 0:
                 heapsort(data, begin, end, lt, metrics)
                 if metrics is not None:
                     metrics.heapsort_fallbacks += 1
-                return
-
-            choose_pivot(data, begin, end, lt, metrics)
-            if pivot_trace is not None:
-                pivot_trace.append(data[begin])
-
-            # A predecessor never greater than any element here equals the
-            # pivot iff it is not less than it; equal elements then belong
-            # in the left partition, which needs no recursion.
-            if use_left and not leftmost and not lt(data[begin - 1], data[begin]):
-                res = partition_left(data, begin, end, lt, metrics)
-                begin = begin + res.pivot_index + 1
-                continue
-
-            if use_block:
-                res = block_partition_right(data, begin, end, lt, buffers, metrics)
             else:
-                res = partition_right(data, begin, end, lt, metrics)
-            pivot_pos = begin + res.pivot_index
-            left_size = pivot_pos - begin
-            right_size = end - (pivot_pos + 1)
+                choose_pivot(data, begin, end, lt, metrics)
+                if pivot_trace is not None:
+                    pivot_trace.append(data[begin])
 
-            if depth_limit:
-                bad_allowed -= 1
-            elif is_bad_partition(left_size, right_size, size):
-                if metrics is not None:
-                    metrics.bad_partitions += 1
-                bad_allowed -= 1
-                if use_break:
-                    if left_size >= MIN_BREAK_SIZE:
-                        break_patterns(data, begin, pivot_pos, metrics)
-                    if right_size >= MIN_BREAK_SIZE:
-                        break_patterns(data, pivot_pos + 1, end, metrics)
-            elif (
-                use_partial
-                and res.no_swaps
-                and attempt_partial(begin, pivot_pos)
-                and attempt_partial(pivot_pos + 1, end)
-            ):
+                # A predecessor never greater than any element here equals
+                # the pivot iff it is not less than it; equal elements then
+                # belong in the left partition, which needs no more work.
+                if use_left and not leftmost and not lt(data[begin - 1], data[begin]):
+                    pivot_index, _ = partition_left(data, begin, end, lt, metrics)
+                    begin += pivot_index + 1
+                    continue
+
+                # The pivot's index in the range is the size of its left side.
+                if use_block:
+                    left_size, no_swaps = block_partition_right(
+                        data, begin, end, lt, buffers, metrics
+                    )
+                else:
+                    left_size, no_swaps = partition_right(data, begin, end, lt, metrics)
+                pivot_pos = begin + left_size
+                right_size = size - 1 - left_size
+
+                sides_sorted = False
+                threshold = size >> BAD_PARTITION_SHIFT
+                if depth_limit:
+                    bad_allowed -= 1
+                elif left_size < threshold or right_size < threshold:
+                    # A bad partition: a side holds less than 1/8 of the range.
+                    if metrics is not None:
+                        metrics.bad_partitions += 1
+                    bad_allowed -= 1
+                    if use_break:
+                        if left_size >= MIN_BREAK_SIZE:
+                            break_patterns(data, begin, pivot_pos, metrics)
+                        if right_size >= MIN_BREAK_SIZE:
+                            break_patterns(data, pivot_pos + 1, end, metrics)
+                elif use_partial and no_swaps:
+                    # The optimistic path: a swapless partition of a range
+                    # that may be nearly sorted.
+                    sides_sorted = (
+                        attempt_partial(begin, pivot_pos)
+                        and attempt_partial(pivot_pos + 1, end)
+                    )
+
+                if not sides_sorted:
+                    # The larger side waits, with its own copy of the
+                    # remaining budget; the smaller side goes on.
+                    if left_size <= right_size:
+                        pending.append((pivot_pos + 1, end, bad_allowed, False))
+                        end = pivot_pos
+                    else:
+                        pending.append((begin, pivot_pos, bad_allowed, leftmost))
+                        begin = pivot_pos + 1
+                        leftmost = False
+                    if metrics is not None and len(pending) > metrics.max_depth:
+                        metrics.max_depth = len(pending)
+                    continue
+
+            # This range is sorted; the loop takes up the one pushed last.
+            if not pending:
                 return
-
-            # Recurse into the smaller partition, iterate on the larger;
-            # each child carries its own copy of the remaining budget.
-            if left_size <= right_size:
-                loop(begin, pivot_pos, bad_allowed, leftmost, depth + 1)
-                begin = pivot_pos + 1
-                leftmost = False
-            else:
-                loop(pivot_pos + 1, end, bad_allowed, False, depth + 1)
-                end = pivot_pos
-
-    n = len(data)
-    bad_allowed = n.bit_length() - 1 if n > 0 else 0
-    if depth_limit:
-        bad_allowed *= 2
-    try:
-        loop(0, n, bad_allowed, True, 0)
-    finally:
-        # loop reaches itself through its closure, and the closure holds
-        # data; breaking that cycle frees the list with the call instead
-        # of at the next cyclic garbage collection.
-        del loop
+            begin, end, bad_allowed, leftmost = pending.pop()
+    except IndexError as exc:
+        if _raised_in_a_kernel(exc):
+            raise ValueError(NOT_STRICT_WEAK) from exc
+        raise
 
 
 def sort(data: MutableSequence) -> None:

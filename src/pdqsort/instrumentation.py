@@ -25,8 +25,9 @@ class Metrics:
     ``element_moves`` counts single-element relocations (insertion-sort
     hole shifting, pivot placement, and in heapsort each lift of the
     element to sift, each hole fill and each drop; heapsort makes no
-    exchanges). ``max_depth`` is the deepest
-    recursive call, with the top-level call at depth 0.
+    exchanges). ``max_depth`` is the most ranges the sort loop held
+    pending at once: the depth that a recursion into the smaller side of
+    each partition would reach, with the whole list at depth 0.
     ``distinct_pivot_reuse`` maps pivot values to times chosen and is only
     populated when pivot tracing was requested.
     """

@@ -21,26 +21,35 @@ scans carry no bound checks. Each kernel is written once, against ``lt``;
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, MutableSequence, NamedTuple
+from typing import Any, Callable, MutableSequence
 
 from .inline import inline_lt
 
 Ordering = Callable[[Any, Any], bool]
 
+# The message of the ValueError raised when an ordering is caught not
+# being a strict weak ordering.
+NOT_STRICT_WEAK = "ordering is not a strict weak ordering"
+
 DEFAULT_BLOCK_SIZE = 64
 
 
-class PartitionResult(NamedTuple):
-    """Outcome of one partition call.
+class PartitionResult(tuple):
+    """Outcome of one partition call: the pair ``(pivot_index, no_swaps)``.
 
     ``pivot_index`` is relative to the start of the partitioned range.
     ``no_swaps`` is True iff no element pair was exchanged besides the
     final pivot placement; partition_left always reports False.
+    A plain tuple subclass, built by ``tuple``'s own constructor: the
+    driver unpacks one per partition, and the named fields serve
+    everyone else.
     """
 
-    pivot_index: int
-    no_swaps: bool
+    __slots__ = ()
+    pivot_index = property(operator.itemgetter(0))
+    no_swaps = property(operator.itemgetter(1))
 
 
 @dataclass
@@ -117,7 +126,7 @@ def partition_right(
         metrics.partition_right_calls += 1
         metrics.exchanges += swaps
         metrics.element_moves += 2
-    return PartitionResult(pivot_pos - begin, no_swaps)
+    return PartitionResult((pivot_pos - begin, no_swaps))
 
 
 @inline_lt
@@ -172,7 +181,7 @@ def partition_left(
         metrics.partition_left_calls += 1
         metrics.exchanges += swaps
         metrics.element_moves += 2
-    return PartitionResult(pivot_pos - begin, False)
+    return PartitionResult((pivot_pos - begin, False))
 
 
 @inline_lt
@@ -285,4 +294,4 @@ def block_partition_right(
         metrics.partition_right_calls += 1
         metrics.exchanges += swaps
         metrics.element_moves += 2
-    return PartitionResult(pivot_pos - begin, swaps == 0)
+    return PartitionResult((pivot_pos - begin, swaps == 0))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import MutableSequence
 
 from .inline import inline_lt
-from .partition import Ordering
+from .partition import NOT_STRICT_WEAK, Ordering
 
 
 def insertion_sort(
@@ -58,9 +58,15 @@ def unguarded_insertion_sort(
 
     Contract: ``data[begin - 1]`` exists and compares <= every element of
     the range, so it stops both scans as a sentinel. Callers must only
-    use this on ranges that are not leftmost in their buffer.
+    use this on ranges that are not leftmost in their buffer. An
+    ordering that breaks the contract can carry a scan past the sentinel
+    (and on to negative indices, which wrap): the pass then ends as
+    usual, its elements dropped into the holes, and the kernel raises
+    ``ValueError``, the list still a permutation. The test sits after
+    the scans, once per pass.
     """
     assert begin > 0, "unguarded insertion sort needs a predecessor"
+    sentinel = begin - 1
     i = begin + 1
     while i < end and not lt(data[i], data[i - 1]):
         i += 1
@@ -83,6 +89,8 @@ def unguarded_insertion_sort(
                 j -= 1
         finally:
             data[j + 1] = a2
+        if j < sentinel:
+            raise ValueError(NOT_STRICT_WEAK)
         # Two lifts, i - 1 - j fills and two drops.
         moves += i + 3 - j
         i += 2
@@ -95,6 +103,8 @@ def unguarded_insertion_sort(
                 j -= 1
         finally:
             data[j + 1] = v
+        if j < sentinel:
+            raise ValueError(NOT_STRICT_WEAK)
         moves += i + 1 - j
     if metrics is not None and moves:
         metrics.element_moves += moves

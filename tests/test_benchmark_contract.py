@@ -35,7 +35,26 @@ def test_every_layer_is_a_driver_global_and_a_package_attribute():
         kernel = getattr(driver, name, None)
         assert callable(kernel), f"pdqsort.driver.{name} is not a callable global"
         assert getattr(pdqsort, name, None) is kernel, f"pdqsort.{name} is not the driver's kernel"
-    assert isinstance(pdqsort.partition_right([1, 0, 2], 0, 3, operator.lt), pdqsort.PartitionResult)
+
+
+def test_every_partition_kernel_returns_a_named_partition_result():
+    # layers.py reads result.no_swaps of every result that is a
+    # PartitionResult; a plain tuple would zero partition.no_swaps_ratio.
+    buffers = pdqsort.BlockBuffers.for_block_size()
+    results = {
+        "partition_right": pdqsort.partition_right([1, 0, 2], 0, 3, operator.lt),
+        "partition_left": pdqsort.partition_left([0, 0, 2], 1, 3, operator.lt),
+        "block_partition_right": pdqsort.block_partition_right(
+            [1, 0, 2], 0, 3, operator.lt, buffers
+        ),
+    }
+    assert set(results) == set(LAYERS["partition"])
+    for name, result in results.items():
+        assert isinstance(result, pdqsort.PartitionResult), name
+        assert (result.pivot_index, result.no_swaps) == tuple(result), name
+    assert results["partition_right"].pivot_index == 1
+    assert results["partition_right"].no_swaps is True
+    assert results["partition_left"].no_swaps is False
 
 
 def test_every_kernel_takes_a_required_range_and_metrics_last():

@@ -2,6 +2,7 @@ import gc
 import math
 import operator
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import fields, replace
@@ -12,14 +13,15 @@ from hypothesis import strategies as st
 
 from pdqsort import (
     DEFAULT_CONFIG,
+    DistributionSpec,
     Metrics,
     SortConfig,
     break_patterns,
     choose_pivot,
     counting_ordering,
+    generate,
     instrumented_sort,
     introsort_baseline,
-    is_bad_partition,
     partition_right,
     sort,
     sort_with,
@@ -96,15 +98,46 @@ class TestChoosePivot:
         assert work == list(range(n))
 
 
+def first_partition_verdict(left_size, right_size, monkeypatch):
+    """Whether the driver counts the first partition of a sort bad, for
+    a range whose pivot leaves ``left_size`` and ``right_size`` elements
+    on its sides."""
+    n = left_size + right_size + 1
+    mid = n // 2
+    assert n <= driver.NINTHER_THRESHOLD and 0 < left_size < n - 1
+    # Median of three: the pivot of rank left_size at the front, 0 at the
+    # middle and n - 1 at the back, so selection leaves them in place.
+    rest = [v for v in range(1, n - 1) if v != left_size]
+    data = [left_size] + rest[: mid - 1] + [0] + rest[mid - 1 :] + [n - 1]
+    calls = []
+    partition = driver.partition_right
+
+    def spy(data, begin, end, lt, metrics):
+        bad_before = metrics.bad_partitions
+        result = partition(data, begin, end, lt, metrics)
+        calls.append((bad_before, result.pivot_index))
+        return result
+
+    monkeypatch.setattr(driver, "partition_right", spy)
+    m = instrumented_sort(data)
+    assert data == list(range(n))
+    assert calls[0] == (0, left_size)
+    # The verdict on a partition is counted before the next one starts.
+    after_first = calls[1][0] if len(calls) > 1 else m.bad_partitions
+    return after_first == 1
+
+
 class TestIsBadPartition:
-    def test_paper_cutoff(self):
-        assert is_bad_partition(7, 56, 64) is True
+    # A partition is bad when a side holds less than size >> 3 elements:
+    # for 64 elements, fewer than 8.
+    def test_paper_cutoff(self, monkeypatch):
+        assert first_partition_verdict(7, 56, monkeypatch) is True
 
-    def test_boundary(self):
-        assert is_bad_partition(8, 55, 64) is False
+    def test_boundary(self, monkeypatch):
+        assert first_partition_verdict(8, 55, monkeypatch) is False
 
-    def test_balanced(self):
-        assert is_bad_partition(32, 31, 64) is False
+    def test_balanced(self, monkeypatch):
+        assert first_partition_verdict(32, 31, monkeypatch) is False
 
 
 class TestBreakPatterns:
@@ -280,15 +313,17 @@ def _failing(a, b):
 
 
 def test_sort_frees_the_list_without_the_cyclic_collector():
-    # The sort loop is a recursive closure over the list. A reference cycle
-    # left behind would keep every sorted list alive until the next
-    # collection, which then has to traverse all of them.
+    # A reference cycle left behind by the sort loop would keep every
+    # sorted list alive until the next collection, which then has to
+    # traverse all of them.
     runs = (
         sort,
         lambda d: sort_with(d, operator.lt, BLOCK),
         instrumented_sort,
         introsort_baseline,
         lambda d: sort_with(d, _failing),
+        # A scan runs off the list, and the sort raises from its IndexError.
+        lambda d: sort_with(d, lambda a, b: True),
     )
     enabled = gc.isenabled()
     gc.disable()
@@ -309,15 +344,32 @@ def test_sort_frees_the_list_without_the_cyclic_collector():
 
 def test_non_strict_weak_ordering_is_memory_safe():
     # An inconsistent relation voids the sortedness contract: the sort
-    # must still terminate, and in Python the worst allowed outcome is an
-    # IndexError from a sentinel scan -- never a hang and never touching
-    # anything outside the list.
+    # must still terminate, and the worst allowed outcome is a ValueError
+    # from a scan that passed its sentinel -- never a hang and never
+    # touching anything outside the list.
     rng = random.Random(23)
     arr = [rng.randint(0, 9) for _ in range(500)]
     for bad in (lambda a, b: True, lambda a, b: False, lambda a, b: a <= b):
         work = list(arr)
         try:
             sort_with(work, bad)
-        except IndexError:
-            continue
-        assert len(work) == len(arr)
+        except ValueError:
+            pass
+        assert Counter(work) == Counter(arr)
+
+
+@pytest.mark.parametrize("kind", ("uniform", "dupsq", "organ"))
+def test_sort_peak_memory_above_the_input(kind):
+    # The sort is in place: besides the list it holds only the stack of
+    # pending ranges, about log2(n) small tuples, and a few locals.
+    data = generate(DistributionSpec(kind, 1 << 16, "int64", seed=3))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sort(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert data == sorted(data)
+    assert peak < 2048, peak

@@ -4,7 +4,9 @@ Each raising test sweeps the call at which the ordering raises and checks
 that the exception reaches the caller and that the list is still a
 permutation of its input, for both ``Exception`` and
 ``KeyboardInterrupt``. The fuzz tests give the sort inconsistent
-relations and allow ``IndexError`` as the only exception.
+relations and allow ``ValueError`` as the only exception: a scan that
+runs past its sentinel is reported as an ordering that is not a strict
+weak ordering.
 
 The ordering reaches the sort along one of two paths. On the relation
 path it is passed as ``lt``. On the inline path each element carries it
@@ -257,9 +259,73 @@ def test_inconsistent_relation_keeps_permutation(relation, inline):
         before = list(work)
         try:
             sort_with(work, ordering, config)
-        except IndexError:
+        except ValueError:
             pass
         assert same_elements(work, before), (config, n)
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+@pytest.mark.parametrize("relation", ("always_true", "not_equal"))
+def test_scan_off_the_list_raises_value_error(relation, inline):
+    # On distinct elements both relations answer True to every question
+    # partition_right's up scan asks, so it runs off the end of the list.
+    arr = random.Random(37).sample(range(1000), 300)
+    work, ordering = on_path(inline, arr, INCONSISTENT[relation](0))
+    before = list(work)
+    with pytest.raises(ValueError, match="not a strict weak ordering") as info:
+        sort_with(work, ordering)
+    assert isinstance(info.value.__cause__, IndexError)
+    assert same_elements(work, before)
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+def test_index_error_of_the_ordering_propagates_unchanged(inline):
+    rng = random.Random(38)
+    arr = [rng.randint(0, 50) for _ in range(300)]
+
+    def run(work, lt):
+        sort_with(work, lt)
+
+    total = calls_made(run, arr, inline)
+    ks = range(1, total + 1, max(1, total // 60))
+    assert_permutation_kept(run, arr, ks, IndexError, inline)
+
+
+class _LowestRead(list):
+    """Records the lowest index read, a negative one included."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.lowest = len(items)
+
+    def __getitem__(self, idx):
+        self.lowest = min(self.lowest, idx)
+        return list.__getitem__(self, idx)
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+def test_unguarded_insertion_sort_raises_when_a_scan_passes_the_sentinel(inline):
+    # Under a coin flip the sentinel at begin - 1 stops nothing. A pass
+    # whose scan went below it ends with both lifted elements dropped,
+    # then the kernel raises; a scan that stays above it raises nothing.
+    rng = random.Random(39)
+    begin = 3
+    raised = 0
+    for _ in range(400):
+        n = rng.randint(2, 30)
+        arr = [rng.randint(0, n) for _ in range(begin + n)]
+        work, ordering = on_path(inline, arr, coin(rng.random()))
+        watched = _LowestRead(work)
+        before = list(watched)
+        try:
+            unguarded_insertion_sort(watched, begin, len(watched), ordering)
+        except ValueError:
+            raised += 1
+            assert watched.lowest < begin - 1
+        else:
+            assert watched.lowest >= begin - 1
+        assert same_elements(watched, before)
+    assert 0 < raised < 400
 
 
 class _Fenced(list):

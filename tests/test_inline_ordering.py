@@ -191,7 +191,7 @@ def test_sort_calls_operator_lt_only_for_the_predecessor_check():
         finally:
             sys.setprofile(previous)
         assert data == expected
-    assert set(callers) == {"loop"}, callers
+    assert set(callers) == {"_sort_range"}, callers
 
 
 class Poison:
