@@ -121,9 +121,10 @@ class _TracingList(list):
 
 
 def _prepare_pivot(arr):
-    # Mirror the driver's selection: median of (middle, first, last) moved
-    # to the front. Two-element ranges have no median of three; ordering
-    # the pair is the minimal preparation that leaves a sentinel >= pivot.
+    # The driver's estimate before its quartile guard: median of (middle,
+    # first, last) moved to the front. Two-element ranges have no median
+    # of three; ordering the pair is the minimal preparation that leaves
+    # a sentinel >= pivot.
     work = list(arr)
     if len(work) == 2:
         if work[1] < work[0]:

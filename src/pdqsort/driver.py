@@ -2,9 +2,12 @@
 
 Each range the sort loop takes up either runs an insertion sort (small
 ranges), falls back to heapsort (exhausted bad-partition budget), or
-selects a pivot and partitions. Equal-to-predecessor pivots dispatch to
-partition_left, whose left partition needs no more work; otherwise
-partition_right runs, or block_partition_right when
+selects a pivot and partitions. The pivot is the median of the paper's
+estimate (median of 3, or the ninther) and two quartile elements, which
+keeps the ends' sample of organ-pipe and merged-run ranges from picking
+a value near their minimum at every level. Equal-to-predecessor pivots
+dispatch to partition_left, whose left partition needs no more work;
+otherwise partition_right runs, or block_partition_right when
 ``SortConfig.use_block_partition`` is set (off by default: under CPython
 the block layout is slower, see the README).
 A partition leaving either side smaller than 2**-BAD_PARTITION_SHIFT of
@@ -22,10 +25,12 @@ identical output permutation and identical instrumentation counters.
 
 from __future__ import annotations
 
+import dis
 import operator
 from dataclasses import dataclass
 from typing import MutableSequence
 
+from .inline import inline_lt
 from .partition import (
     NOT_STRICT_WEAK,
     BlockBuffers,
@@ -59,6 +64,14 @@ MIN_BREAK_SIZE = 8
 
 # The modules whose kernels subscript the list being sorted.
 _KERNEL_MODULES = frozenset((__name__, partition_right.__module__, heapsort.__module__))
+# The opcodes of a subscript that reads or writes one element. From
+# Python 3.14 a read is a BINARY_OP, which in a kernel otherwise does int
+# arithmetic on indices and cannot raise IndexError.
+_SUBSCRIPTS = frozenset(
+    dis.opmap[name]
+    for name in ("BINARY_SUBSCR", "STORE_SUBSCR", "BINARY_OP")
+    if name in dis.opmap
+)
 
 
 @dataclass(frozen=True)
@@ -80,23 +93,36 @@ _INTROSORT_CONFIG = SortConfig(
 )
 
 
+@inline_lt
 def choose_pivot(
     data: MutableSequence,
     begin: int,
     end: int,
     lt: Ordering,
+    guard: bool = True,
     metrics=None,
 ) -> None:
-    """Move a pivot estimate to ``data[begin]``.
+    """Move the pivot to ``data[begin]``.
 
-    Small ranges take the median of (middle, first, last); sorting that
-    triple with the middle position first leaves the median at the front
-    and, on an already-sorted range, amounts to one first<->middle
-    exchange. Large ranges take the ninther: three triples are sorted,
-    then the triple of their medians, and the middle element is exchanged
-    to the front. Either way a subsequent partition of a sorted range is
-    swapless and puts the pivot straight back, which is what lets the
-    optimistic insertion-sort path fire.
+    The estimate of small ranges is the median of (middle, first, last);
+    sorting that triple with the middle position first leaves it at the
+    front. Large ranges take the ninther: three triples are sorted, then
+    the triple of their medians, which leaves it in the middle.
+
+    With ``guard`` set (the driver passes ``use_break_patterns``), the
+    pivot is the median of the estimate and the quartile elements at
+    ``size // 4`` and ``size - 1 - size // 4``, found with at most 3 more
+    comparisons and no element moved. The ends' sample of an organ-pipe
+    or merged-run range lands near its minimum, and every child of a
+    good partition keeps that shape; the quartiles overrule it. Without
+    the guard the pivot is the estimate, the paper's rule.
+
+    One exchange then brings the pivot to the front, unless it is there
+    already. On a sorted range all of this amounts to one first<->middle
+    exchange, so a subsequent partition is swapless and puts the pivot
+    straight back, which is what lets the optimistic insertion-sort path
+    fire and keeps ascending, descending and ascending-then-appended
+    inputs linear.
     """
     size = end - begin
     mid = begin + size // 2
@@ -105,11 +131,25 @@ def choose_pivot(
         sort3(data, begin + 1, mid - 1, end - 2, lt, metrics)
         sort3(data, begin + 2, mid + 1, end - 3, lt, metrics)
         sort3(data, mid - 1, mid, mid + 1, lt, metrics)
-        data[begin], data[mid] = data[mid], data[begin]
-        if metrics is not None:
-            metrics.exchanges += 1
+        slot = mid
     else:
         sort3(data, mid, begin, end - 1, lt, metrics)
+        slot = begin
+    if guard:
+        low = begin + size // 4
+        high = end - 1 - size // 4
+        # sort3's comparisons over the slots (low, slot, high), moving no
+        # element: ``slot`` ends at the median's.
+        if lt(data[slot], data[low]):
+            low, slot = slot, low
+        if lt(data[high], data[slot]):
+            slot = high
+            if lt(data[slot], data[low]):
+                slot = low
+    if slot != begin:
+        data[begin], data[slot] = data[slot], data[begin]
+        if metrics is not None:
+            metrics.exchanges += 1
 
 
 def break_patterns(
@@ -142,16 +182,24 @@ def break_patterns(
 
 
 def _raised_in_a_kernel(exc: BaseException) -> bool:
-    """True iff the innermost frame of ``exc``'s traceback is in a kernel
-    module: an IndexError raised there is a scan that left the list.
+    """True iff ``exc`` was raised by a kernel's own subscript of the
+    list: a scan that left it.
 
+    The innermost frame of the traceback must be in a kernel module and
+    its failing instruction a subscript. A call or a compare there is the
+    ordering's own error, raised by C code with no Python frame of its
+    own, such as ``operator.getitem`` as the ordering.
     A function of its own, so that the traceback it walks is not held by
     a local of the sort loop's frame, which that traceback holds in turn.
     """
     tb = exc.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next
-    return tb.tb_frame.f_globals.get("__name__") in _KERNEL_MODULES
+    frame = tb.tb_frame
+    return (
+        frame.f_globals.get("__name__") in _KERNEL_MODULES
+        and frame.f_code.co_code[tb.tb_lasti] in _SUBSCRIPTS
+    )
 
 
 def _sort_range(
@@ -182,8 +230,8 @@ def _sort_range(
     A kernel subscript that leaves the list (an ordering that is not a
     strict weak ordering can carry a scan past its sentinel) raises
     ``ValueError``, chained to the ``IndexError``; the list is still a
-    permutation. An ``IndexError`` raised in the caller's Python code,
-    such as the ordering or an element's ``__lt__``, propagates as it is.
+    permutation. An ``IndexError`` raised by the ordering or an
+    element's ``__lt__``, in Python or in C, propagates as it is.
     """
     use_block = config.use_block_partition
     use_left = config.use_partition_left
@@ -227,7 +275,7 @@ def _sort_range(
                 if metrics is not None:
                     metrics.heapsort_fallbacks += 1
             else:
-                choose_pivot(data, begin, end, lt, metrics)
+                choose_pivot(data, begin, end, lt, use_break, metrics)
                 if pivot_trace is not None:
                     pivot_trace.append(data[begin])
 

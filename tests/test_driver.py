@@ -71,14 +71,63 @@ class TestChoosePivot:
         assert work[0] == 3
 
     def test_front_is_median_random(self):
+        # The front is the median of the median of (first, middle, last)
+        # and the two quartile elements. From 6 elements on, the quartile
+        # positions are none of the three sampled ones.
+        rng = random.Random(2)
+        for _ in range(200):
+            n = rng.randint(6, 128)
+            arr = [rng.randint(0, 99) for _ in range(n)]
+            estimate = sorted([arr[0], arr[n // 2], arr[n - 1]])[1]
+            candidates = sorted([estimate, arr[n // 4], arr[n - 1 - n // 4]])
+            choose_pivot(arr, 0, n, operator.lt)
+            assert arr[0] == candidates[1]
+
+    def test_front_is_guarded_ninther_random(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            n = rng.randint(129, 400)
+            arr = [rng.randint(0, 99) for _ in range(n)]
+            mid = n // 2
+            # The triple (k, middle, n - 1 - k) for k = 0, 1, 2.
+            medians = [
+                sorted([arr[k], arr[middle], arr[n - 1 - k]])[1]
+                for k, middle in enumerate((mid, mid - 1, mid + 1))
+            ]
+            ninther = sorted(medians)[1]
+            candidates = sorted([ninther, arr[n // 4], arr[n - 1 - n // 4]])
+            choose_pivot(arr, 0, n, operator.lt)
+            assert arr[0] == candidates[1]
+
+    def test_unguarded_front_is_median_of_three(self):
+        # Without pattern breaking (introsort_baseline) the guard is off.
         rng = random.Random(2)
         for _ in range(200):
             n = rng.randint(3, 128)
             arr = [rng.randint(0, 99) for _ in range(n)]
             mid = n // 2
             candidates = sorted([arr[0], arr[mid], arr[n - 1]])
-            choose_pivot(arr, 0, n, operator.lt)
+            choose_pivot(arr, 0, n, operator.lt, False)
             assert arr[0] == candidates[1]
+
+    def test_guard_costs_two_or_three_comparisons(self):
+        # Under the ninther the guard only changes the slot of the one front
+        # exchange; a median of 3 left at the front may need one.
+        rng = random.Random(4)
+        for _ in range(200):
+            n = rng.randint(24, 400)
+            arr = [rng.randint(0, 99) for _ in range(n)]
+            counts = []
+            for guard in (False, True):
+                m = Metrics()
+                choose_pivot(list(arr), 0, n, counting_ordering(operator.lt, m), guard, m)
+                counts.append((m.comparisons, m.exchanges))
+            (plain, plain_exchanges), (guarded, guarded_exchanges) = counts
+            assert plain + 2 <= guarded <= plain + 3
+            if n > driver.NINTHER_THRESHOLD:
+                assert guarded_exchanges == plain_exchanges
+            else:
+                assert guarded_exchanges <= plain_exchanges + 1
 
     def test_ninther_swapless_roundtrip(self):
         # On an ascending range the candidate work nets out to a single
@@ -104,11 +153,15 @@ def first_partition_verdict(left_size, right_size, monkeypatch):
     on its sides."""
     n = left_size + right_size + 1
     mid = n // 2
-    assert n <= driver.NINTHER_THRESHOLD and 0 < left_size < n - 1
+    low, high = n // 4, n - 1 - n // 4
+    assert n <= driver.NINTHER_THRESHOLD and 1 < left_size < n - 2
     # Median of three: the pivot of rank left_size at the front, 0 at the
-    # middle and n - 1 at the back, so selection leaves them in place.
-    rest = [v for v in range(1, n - 1) if v != left_size]
-    data = [left_size] + rest[: mid - 1] + [0] + rest[mid - 1 :] + [n - 1]
+    # middle and n - 1 at the back, so selection leaves them in place; 1
+    # and n - 2 at the quartiles keep the guard from moving the pivot.
+    placed = {0: left_size, low: 1, mid: 0, high: n - 2, n - 1: n - 1}
+    data = [v for v in range(n) if v not in placed.values()]
+    for pos in sorted(placed):
+        data.insert(pos, placed[pos])
     calls = []
     partition = driver.partition_right
 
@@ -192,6 +245,19 @@ class TestSort:
         n = 1 << 14
         m = instrumented_sort(list(range(n)))
         assert m.comparisons <= 6 * n
+
+    @pytest.mark.parametrize("kind", ("organ", "merge"))
+    def test_quartile_guard_balances_organ_and_merge(self, kind):
+        # Both ends of an organ-pipe or merged-run range sit below its
+        # middle, and every child of a good partition keeps that shape.
+        # Unguarded, the end samples give about 20 comparisons per element
+        # and 280 bad partitions here.
+        n = 1 << 14
+        data = generate(DistributionSpec(kind, n, "int64", seed=3))
+        m = instrumented_sort(data)
+        assert data == sorted(data)
+        assert m.comparisons <= 15 * n
+        assert m.bad_partitions <= 32
 
     def test_all_equal_single_partition_left(self):
         n = 4096

@@ -291,6 +291,18 @@ def test_index_error_of_the_ordering_propagates_unchanged(inline):
     assert_permutation_kept(run, arr, ks, IndexError, inline)
 
 
+def test_index_error_raised_by_a_c_ordering_propagates_unchanged():
+    # operator.getitem, as the ordering, raises the tuple's own IndexError
+    # from C: the innermost frame is the kernel's, at its call, not at a
+    # subscript of the list.
+    work = [3, (0,)] * 3
+    before = list(work)
+    with pytest.raises(IndexError, match="tuple index out of range") as info:
+        sort_with(work, operator.getitem)
+    assert info.value.__cause__ is None
+    assert same_elements(work, before)
+
+
 class _LowestRead(list):
     """Records the lowest index read, a negative one included."""
 

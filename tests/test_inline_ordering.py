@@ -126,7 +126,8 @@ KERNELS = {
     "insertion_sort": (whole, insertion_sort),
     "heapsort": (whole, heapsort),
     "sort3": (whole, median_of_3),
-    "choose_pivot": (whole, choose_pivot),
+    "choose_pivot": (whole, with_args(choose_pivot, True)),
+    "choose_pivot/unguarded": (whole, with_args(choose_pivot, False)),
 }
 
 
