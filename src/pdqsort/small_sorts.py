@@ -156,45 +156,6 @@ def partial_insertion_sort(
 
 
 @inline_lt
-def _sift_down(data, begin, root, size, lt, v):
-    """Sift ``v`` into the heap ``data[begin:begin + size)`` from the hole
-    at ``root``; return the number of hole fills.
-
-    Bottom-up, as libstdc++'s ``__adjust_heap``: the hole first sinks to a
-    leaf, taking the larger child on every level for one ``lt`` each, and
-    ``v`` then rises from there toward ``root`` past every parent less
-    than it. The descent reads only children below ``size`` and the ascent
-    stops at ``root``, whatever ``lt`` answers.
-    """
-    # Absolute indices: the children of i are 2*i + skew and 2*i + skew + 1,
-    # its parent is (i - skew) // 2.
-    skew = 1 - begin
-    top = hole = begin + root
-    last = begin + size - 1
-    child = 2 * hole + skew
-    try:
-        while child < last:
-            if lt(data[child], data[child + 1]):
-                child += 1
-            data[hole] = data[child]
-            hole = child
-            child = 2 * hole + skew
-        if child == last:
-            data[hole] = data[child]
-            hole = child
-        leaf = hole
-        while hole > top:
-            parent = (hole - skew) // 2
-            if not lt(data[parent], v):
-                break
-            data[hole] = data[parent]
-            hole = parent
-    finally:
-        data[hole] = v
-    # Levels down to the leaf plus levels back up, from the heap depths.
-    return 2 * (leaf + skew).bit_length() - (top + skew).bit_length() - (hole + skew).bit_length()
-
-
 def heapsort(
     data: MutableSequence,
     begin: int,
@@ -205,23 +166,61 @@ def heapsort(
     """In-place bottom-up heapsort; the O(n log n) fallback sort.
 
     ``std::make_heap`` then ``std::sort_heap``, as the reference
-    ``pdqsort.h`` runs them: every sift is :func:`_sift_down`'s bottom-up
-    sift, which makes one comparison per level on the way down and stops
-    early on the way up, about n log2 n + 0.8n comparisons in all. A pop
-    lifts the last element, moves the root into its slot and sifts the
-    lifted element from the root; there are no two-element swaps.
+    ``pdqsort.h`` runs them, in one loop: ``n // 2`` build sifts from the
+    last parent down to the root, then ``n - 1`` pops. A build sift lifts
+    the element at its root; a pop lifts the last heap element and moves
+    the root into its slot, and sifts the lifted element from the root of
+    the heap left, so there are no two-element swaps.
+
+    Every sift is bottom-up, as libstdc++'s ``__adjust_heap``: the hole
+    first sinks to a leaf, taking the larger child on every level for one
+    ``lt`` each, and the lifted element then rises from there toward the
+    sift's root past every parent less than it, about n log2 n + 0.8n
+    comparisons in all. The descent reads only children inside the heap
+    and the ascent stops at the sift's root, whatever ``lt`` answers.
     ``element_moves`` counts each lift, hole fill and drop.
     """
     n = end - begin
     if n < 2:
         return
-    moves = 0
-    for root in range(n // 2 - 1, -1, -1):
-        moves += 2 + _sift_down(data, begin, root, n, lt, data[begin + root])
-    for size in range(n - 1, 0, -1):
-        v = data[begin + size]
-        data[begin + size] = data[begin]
-        moves += 3 + _sift_down(data, begin, 0, size, lt, v)
+    # Absolute indices: the children of i are 2*i + skew and 2*i + skew + 1,
+    # its parent is (i - skew) // 2.
+    skew = 1 - begin
+    # A lift and a drop per sift, and each pop's move of the root; the
+    # loop adds the hole fills.
+    moves = 2 * (n // 2) + 3 * (n - 1)
+    for i in range(n + n // 2 - 1, 0, -1):
+        if i >= n:
+            top = hole = begin + i - n
+            last = end - 1
+            v = data[hole]
+        else:
+            top = hole = begin
+            last = begin + i - 1
+            v = data[begin + i]
+            data[begin + i] = data[begin]
+        child = 2 * hole + skew
+        try:
+            while child < last:
+                if lt(data[child], data[child + 1]):
+                    child += 1
+                data[hole] = data[child]
+                hole = child
+                child = 2 * hole + skew
+            if child == last:
+                data[hole] = data[child]
+                hole = child
+            leaf = hole
+            while hole > top:
+                parent = (hole - skew) // 2
+                if not lt(data[parent], v):
+                    break
+                data[hole] = data[parent]
+                hole = parent
+        finally:
+            data[hole] = v
+        # Levels down to the leaf plus levels back up, from the heap depths.
+        moves += 2 * (leaf + skew).bit_length() - (top + skew).bit_length() - (hole + skew).bit_length()
     if metrics is not None:
         metrics.element_moves += moves
 

@@ -199,7 +199,7 @@ def test_heapsort_sweep_raises_in_descent_and_ascent(inline):
     # so both loops are shown to drop the held element back on a raise.
     descent = _line_of(small_sorts, "lt(data[child], data[child + 1])")
     ascent = _line_of(small_sorts, "lt(data[parent], v)")
-    assert lines_raised("heapsort", "_sift_down", inline) == {descent, ascent}
+    assert lines_raised("heapsort", "heapsort", inline) == {descent, ascent}
 
 
 @pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
