@@ -51,9 +51,11 @@ def unguarded_insertion_sort(
     greater than ``a1`` moves up two slots, through the two holes, and
     ``a1`` is dropped; the scan then goes on down, moving every element
     greater than ``a2`` up one slot, and ``a2`` is dropped into the last
-    hole. The prefix above ``a1`` is scanned once for both. An element
-    left over at the end is inserted alone. If ``lt`` raises, ``a1`` and
-    ``a2`` are dropped into the holes open at that moment.
+    hole. The prefix above ``a1`` is scanned once for both. When an odd
+    number of elements follows the prefix, the first pair takes the
+    prefix's last element along, so no element is left over. If ``lt``
+    raises, ``a1`` and ``a2`` are dropped into the holes open at that
+    moment.
     ``element_moves`` counts each lift, hole fill and drop.
 
     Contract: ``data[begin - 1]`` exists and compares <= every element of
@@ -70,6 +72,9 @@ def unguarded_insertion_sort(
     i = begin + 1
     while i < end and not lt(data[i], data[i - 1]):
         i += 1
+    # An odd count left: the pairs start one element early, at the last
+    # element of the prefix.
+    i -= (end - i) & 1
     moves = 0
     while i + 1 < end:
         a1 = data[i]
@@ -94,18 +99,6 @@ def unguarded_insertion_sort(
         # Two lifts, i - 1 - j fills and two drops.
         moves += i + 3 - j
         i += 2
-    if i < end:
-        v = data[i]
-        j = i - 1
-        try:
-            while lt(v, data[j]):
-                data[j + 1] = data[j]
-                j -= 1
-        finally:
-            data[j + 1] = v
-        if j < sentinel:
-            raise ValueError(NOT_STRICT_WEAK)
-        moves += i + 1 - j
     if metrics is not None and moves:
         metrics.element_moves += moves
 

@@ -231,8 +231,9 @@ class TestHeapsort:
         # move. Heapsort lifts one element per sift: n // 2 to build the
         # heap and n - 1 pops. The pair insertion sort, behind a min
         # sentinel, lifts every element from the first descent on, two per
-        # pass and the last one alone when their number is odd; the inputs
-        # must give both an odd and an even number of lifts.
+        # pass; when their number is odd, the first pair also lifts the
+        # last element of the ascending prefix. The inputs must leave both
+        # an odd and an even number of elements after the prefix.
         class Stores(list):
             count = 0
 
@@ -240,20 +241,24 @@ class TestHeapsort:
                 Stores.count += 1
                 list.__setitem__(self, idx, value)
 
-        def first_descent(arr):
-            return next((i for i in range(1, len(arr)) if arr[i] < arr[i - 1]), len(arr))
+        def after_prefix(arr):
+            first_descent = next(
+                (i for i in range(1, len(arr)) if arr[i] < arr[i - 1]), len(arr)
+            )
+            return len(arr) - first_descent
 
         kernels = (
-            (heapsort, lambda arr: arr, 0, lambda arr: len(arr) // 2 + len(arr) - 1),
+            (heapsort, lambda arr: arr, 0, len, lambda n: n // 2 + n - 1),
             (
                 unguarded_insertion_sort,
                 lambda arr: [min(arr)] + arr,
                 1,
-                lambda arr: len(arr) - first_descent(arr),
+                after_prefix,
+                lambda left: left + left % 2,
             ),
         )
         rng = random.Random(8)
-        for kernel, prepare, begin, lifts in kernels:
+        for kernel, prepare, begin, count, lifts in kernels:
             parities = set()
             for n, _ in itertools.product((2, 3, 7, 8, 23, 64, 100), range(4)):
                 arr = [rng.randint(0, 9) for _ in range(n)]
@@ -262,9 +267,9 @@ class TestHeapsort:
                 m = Metrics()
                 kernel(work, begin, len(work), operator.lt, m)
                 assert work == sorted(work)
-                assert m.element_moves == Stores.count + lifts(arr)
+                assert m.element_moves == Stores.count + lifts(count(arr))
                 assert m.exchanges == 0
-                parities.add(lifts(arr) % 2)
+                parities.add(count(arr) % 2)
             assert parities == {0, 1}
 
     def test_subrange(self):
