@@ -245,14 +245,6 @@ def _sort_range(
         else None
     )
 
-    def attempt_partial(lo, hi):
-        if metrics is not None:
-            metrics.partial_insertion_attempts += 1
-        ok = partial_insertion_sort(data, lo, hi, lt, PARTIAL_INSERTION_BUDGET, metrics)
-        if not ok and metrics is not None:
-            metrics.partial_insertion_aborts += 1
-        return ok
-
     begin = 0
     end = len(data)
     bad_allowed = end.bit_length() - 1 if end > 0 else 0
@@ -313,11 +305,20 @@ def _sort_range(
                             break_patterns(data, pivot_pos + 1, end, metrics)
                 elif use_partial and no_swaps:
                     # The optimistic path: a swapless partition of a range
-                    # that may be nearly sorted.
-                    sides_sorted = (
-                        attempt_partial(begin, pivot_pos)
-                        and attempt_partial(pivot_pos + 1, end)
+                    # that may be nearly sorted. The right side is tried
+                    # only if the left one finished.
+                    attempts = 1
+                    sides_sorted = partial_insertion_sort(
+                        data, begin, pivot_pos, lt, PARTIAL_INSERTION_BUDGET, metrics
                     )
+                    if sides_sorted:
+                        attempts = 2
+                        sides_sorted = partial_insertion_sort(
+                            data, pivot_pos + 1, end, lt, PARTIAL_INSERTION_BUDGET, metrics
+                        )
+                    if metrics is not None:
+                        metrics.partial_insertion_attempts += attempts
+                        metrics.partial_insertion_aborts += not sides_sorted
 
                 if not sides_sorted:
                     # The larger side waits, with its own copy of the

@@ -7,7 +7,11 @@ raises (``KeyboardInterrupt`` included), the range is still a
 permutation of its input: the insertion sorts and heapsort drop each
 lifted element back into a hole on the way out (the pair insertion sort
 of non-leftmost ranges holds two lifted elements and two holes while it
-scans for the larger), and ``sort3`` only swaps.
+scans for the larger), and ``sort3`` only swaps. No kernel calls a
+function between the first store over a lifted element's slot and the
+``try`` that drops the element, so a signal's ``KeyboardInterrupt``,
+raised at a function entry, cannot lose it; on CPython 3.13 one raised
+at a loop's backward jump still can (see the README).
 :mod:`pdqsort.inline` generates the ``operator.lt`` branch of each kernel.
 """
 
