@@ -188,10 +188,12 @@ def heapsort(
     moves = 2 * (n // 2) + 3 * (n - 1)
     for i in range(n + n // 2 - 1, 0, -1):
         if i >= n:
+            # Build: sift the element at root i - n of the whole heap.
             top = hole = begin + i - n
             last = end - 1
             v = data[hole]
         else:
+            # Pop: the root moves to slot i, whose element sifts from the root.
             top = hole = begin
             last = begin + i - 1
             v = data[begin + i]

@@ -1,4 +1,4 @@
-"""Ctrl-C anywhere in the heapsort fallback leaves a permutation.
+"""Ctrl-C at a signal check inside the heapsort fallback leaves a permutation.
 
 CPython raises ``KeyboardInterrupt`` where its evaluation loop checks for
 a pending signal: at every function entry, and at the backward jumps
