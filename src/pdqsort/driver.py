@@ -25,14 +25,12 @@ identical output permutation and identical instrumentation counters.
 
 from __future__ import annotations
 
-import dis
 import operator
 from dataclasses import dataclass
 from typing import MutableSequence
 
 from .inline import inline_lt
 from .partition import (
-    NOT_STRICT_WEAK,
     BlockBuffers,
     Ordering,
     block_partition_right,
@@ -61,18 +59,6 @@ BAD_PARTITION_SHIFT = 3
 # Partitions shorter than this have no quartile positions distinct from
 # their pivot-candidate positions, so pattern breaking skips them.
 MIN_BREAK_SIZE = 8
-
-# The modules whose kernels subscript the list being sorted.
-_KERNEL_MODULES = frozenset((__name__, partition_right.__module__, heapsort.__module__))
-# The opcodes of a subscript that reads or writes one element. From
-# Python 3.14 a read is a BINARY_OP, which in a kernel otherwise does int
-# arithmetic on indices and cannot raise IndexError.
-_SUBSCRIPTS = frozenset(
-    dis.opmap[name]
-    for name in ("BINARY_SUBSCR", "STORE_SUBSCR", "BINARY_OP")
-    if name in dis.opmap
-)
-
 
 @dataclass(frozen=True)
 class SortConfig:
@@ -181,27 +167,6 @@ def break_patterns(
         metrics.exchanges += 2 * pairs
 
 
-def _raised_in_a_kernel(exc: BaseException) -> bool:
-    """True iff ``exc`` was raised by a kernel's own subscript of the
-    list: a scan that left it.
-
-    The innermost frame of the traceback must be in a kernel module and
-    its failing instruction a subscript. A call or a compare there is the
-    ordering's own error, raised by C code with no Python frame of its
-    own, such as ``operator.getitem`` as the ordering.
-    A function of its own, so that the traceback it walks is not held by
-    a local of the sort loop's frame, which that traceback holds in turn.
-    """
-    tb = exc.__traceback__
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    frame = tb.tb_frame
-    return (
-        frame.f_globals.get("__name__") in _KERNEL_MODULES
-        and frame.f_code.co_code[tb.tb_lasti] in _SUBSCRIPTS
-    )
-
-
 def _sort_range(
     data: MutableSequence,
     lt: Ordering,
@@ -213,7 +178,9 @@ def _sort_range(
     """Sort all of ``data``: the one sort loop behind every entry point.
 
     One loop works on one range at a time, held in locals with its share
-    of the bad-partition budget and whether it is leftmost. A partition
+    of the bad-partition budget. Only a range that begins at 0 has no
+    predecessor to serve as the sentinel of the unguarded insertion sort
+    and of the equal-pivot check. A partition
     pushes its larger side onto ``pending`` and the loop goes on with the
     smaller side; a range that is sorted (a leaf, a heapsort, or both
     sides finished by the optimistic path) makes way for the range pushed
@@ -227,11 +194,12 @@ def _sort_range(
     depth limit: every partition spends one of 2*floor(log2 n) units and
     no partition is judged bad. Only :func:`introsort_baseline` sets it.
 
-    A kernel subscript that leaves the list (an ordering that is not a
-    strict weak ordering can carry a scan past its sentinel) raises
-    ``ValueError``, chained to the ``IndexError``; the list is still a
-    permutation. An ``IndexError`` raised by the ordering or an
-    element's ``__lt__``, in Python or in C, propagates as it is.
+    An ordering that is not a strict weak ordering can carry an
+    unguarded scan past its sentinel. The kernel that owns the scan then
+    raises ``ValueError`` (chained to the ``IndexError`` if the scan left
+    the list), and the list is still a permutation. An ``IndexError``
+    raised by the ordering or an element's ``__lt__``, in Python or in C,
+    propagates as it is.
     """
     use_block = config.use_block_partition
     use_left = config.use_partition_left
@@ -250,98 +218,91 @@ def _sort_range(
     bad_allowed = end.bit_length() - 1 if end > 0 else 0
     if depth_limit:
         bad_allowed *= 2
-    leftmost = True
-    # (begin, end, bad_allowed, leftmost) of each range waiting for the
-    # loop: the larger side of every partition still open.
+    # (begin, end, bad_allowed) of each range waiting for the loop: the
+    # larger side of every partition still open.
     pending = []
-    try:
-        while True:
-            size = end - begin
-            if size < INSERTION_THRESHOLD:
-                if leftmost:
-                    insertion_sort(data, begin, end, lt, metrics)
-                else:
-                    unguarded_insertion_sort(data, begin, end, lt, metrics)
-            elif bad_allowed == 0:
-                heapsort(data, begin, end, lt, metrics)
-                if metrics is not None:
-                    metrics.heapsort_fallbacks += 1
+    while True:
+        size = end - begin
+        if size < INSERTION_THRESHOLD:
+            if begin == 0:
+                insertion_sort(data, begin, end, lt, metrics)
             else:
-                choose_pivot(data, begin, end, lt, use_break, metrics)
-                if pivot_trace is not None:
-                    pivot_trace.append(data[begin])
+                unguarded_insertion_sort(data, begin, end, lt, metrics)
+        elif bad_allowed == 0:
+            heapsort(data, begin, end, lt, metrics)
+            if metrics is not None:
+                metrics.heapsort_fallbacks += 1
+        else:
+            choose_pivot(data, begin, end, lt, use_break, metrics)
+            if pivot_trace is not None:
+                pivot_trace.append(data[begin])
 
-                # A predecessor never greater than any element here equals
-                # the pivot iff it is not less than it; equal elements then
-                # belong in the left partition, which needs no more work.
-                if use_left and not leftmost and not lt(data[begin - 1], data[begin]):
-                    pivot_index, _ = partition_left(data, begin, end, lt, metrics)
-                    begin += pivot_index + 1
-                    continue
+            # A predecessor never greater than any element here equals
+            # the pivot iff it is not less than it; equal elements then
+            # belong in the left partition, which needs no more work.
+            if use_left and begin > 0 and not lt(data[begin - 1], data[begin]):
+                pivot_index, _ = partition_left(data, begin, end, lt, metrics)
+                begin += pivot_index + 1
+                continue
 
-                # The pivot's index in the range is the size of its left side.
-                if use_block:
-                    left_size, no_swaps = block_partition_right(
-                        data, begin, end, lt, buffers, metrics
-                    )
-                else:
-                    left_size, no_swaps = partition_right(data, begin, end, lt, metrics)
-                pivot_pos = begin + left_size
-                right_size = size - 1 - left_size
+            # The pivot's index in the range is the size of its left side.
+            if use_block:
+                left_size, no_swaps = block_partition_right(
+                    data, begin, end, lt, buffers, metrics
+                )
+            else:
+                left_size, no_swaps = partition_right(data, begin, end, lt, metrics)
+            pivot_pos = begin + left_size
+            right_size = size - 1 - left_size
 
-                sides_sorted = False
-                threshold = size >> BAD_PARTITION_SHIFT
-                if depth_limit:
-                    bad_allowed -= 1
-                elif left_size < threshold or right_size < threshold:
-                    # A bad partition: a side holds less than 1/8 of the range.
-                    if metrics is not None:
-                        metrics.bad_partitions += 1
-                    bad_allowed -= 1
-                    if use_break:
-                        if left_size >= MIN_BREAK_SIZE:
-                            break_patterns(data, begin, pivot_pos, metrics)
-                        if right_size >= MIN_BREAK_SIZE:
-                            break_patterns(data, pivot_pos + 1, end, metrics)
-                elif use_partial and no_swaps:
-                    # The optimistic path: a swapless partition of a range
-                    # that may be nearly sorted. The right side is tried
-                    # only if the left one finished.
-                    attempts = 1
+            sides_sorted = False
+            threshold = size >> BAD_PARTITION_SHIFT
+            if depth_limit:
+                bad_allowed -= 1
+            elif left_size < threshold or right_size < threshold:
+                # A bad partition: a side holds less than 1/8 of the range.
+                if metrics is not None:
+                    metrics.bad_partitions += 1
+                bad_allowed -= 1
+                if use_break:
+                    if left_size >= MIN_BREAK_SIZE:
+                        break_patterns(data, begin, pivot_pos, metrics)
+                    if right_size >= MIN_BREAK_SIZE:
+                        break_patterns(data, pivot_pos + 1, end, metrics)
+            elif use_partial and no_swaps:
+                # The optimistic path: a swapless partition of a range
+                # that may be nearly sorted. The right side is tried
+                # only if the left one finished.
+                attempts = 1
+                sides_sorted = partial_insertion_sort(
+                    data, begin, pivot_pos, lt, PARTIAL_INSERTION_BUDGET, metrics
+                )
+                if sides_sorted:
+                    attempts = 2
                     sides_sorted = partial_insertion_sort(
-                        data, begin, pivot_pos, lt, PARTIAL_INSERTION_BUDGET, metrics
+                        data, pivot_pos + 1, end, lt, PARTIAL_INSERTION_BUDGET, metrics
                     )
-                    if sides_sorted:
-                        attempts = 2
-                        sides_sorted = partial_insertion_sort(
-                            data, pivot_pos + 1, end, lt, PARTIAL_INSERTION_BUDGET, metrics
-                        )
-                    if metrics is not None:
-                        metrics.partial_insertion_attempts += attempts
-                        metrics.partial_insertion_aborts += not sides_sorted
+                if metrics is not None:
+                    metrics.partial_insertion_attempts += attempts
+                    metrics.partial_insertion_aborts += not sides_sorted
 
-                if not sides_sorted:
-                    # The larger side waits, with its own copy of the
-                    # remaining budget; the smaller side goes on.
-                    if left_size <= right_size:
-                        pending.append((pivot_pos + 1, end, bad_allowed, False))
-                        end = pivot_pos
-                    else:
-                        pending.append((begin, pivot_pos, bad_allowed, leftmost))
-                        begin = pivot_pos + 1
-                        leftmost = False
-                    if metrics is not None and len(pending) > metrics.max_depth:
-                        metrics.max_depth = len(pending)
-                    continue
+            if not sides_sorted:
+                # The larger side waits, with its own copy of the
+                # remaining budget; the smaller side goes on.
+                if left_size <= right_size:
+                    pending.append((pivot_pos + 1, end, bad_allowed))
+                    end = pivot_pos
+                else:
+                    pending.append((begin, pivot_pos, bad_allowed))
+                    begin = pivot_pos + 1
+                if metrics is not None and len(pending) > metrics.max_depth:
+                    metrics.max_depth = len(pending)
+                continue
 
-            # This range is sorted; the loop takes up the one pushed last.
-            if not pending:
-                return
-            begin, end, bad_allowed, leftmost = pending.pop()
-    except IndexError as exc:
-        if _raised_in_a_kernel(exc):
-            raise ValueError(NOT_STRICT_WEAK) from exc
-        raise
+        # This range is sorted; the loop takes up the one pushed last.
+        if not pending:
+            return
+        begin, end, bad_allowed = pending.pop()
 
 
 def sort(data: MutableSequence) -> None:

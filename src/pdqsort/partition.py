@@ -15,8 +15,15 @@ Three primitives over ``data[begin:end)`` with the pivot at ``data[begin]``:
 All kernels assume the pivot was placed by a median-of-(at-least-)3
 selection, which guarantees an element >= pivot somewhere to its right;
 that element and previously scanned ones serve as sentinels, so the inner
-scans carry no bound checks. Each kernel is written once, against ``lt``;
-:mod:`pdqsort.inline` generates its ``operator.lt`` branch.
+scans of partition_right and partition_left carry no bound checks. An
+ordering that is not a strict weak ordering can carry such a scan past
+its sentinel, off the list or below ``begin``; the kernel then raises
+``ValueError`` before it places the pivot, chained to the subscript's
+``IndexError`` if the scan left the list. The subscript is evaluated
+before ``lt`` is called, so an ``IndexError`` raised while both indices
+are inside the list is the ordering's own, and propagates. Each kernel
+is written once, against ``lt``; :mod:`pdqsort.inline` generates its
+``operator.lt`` branch.
 """
 
 from __future__ import annotations
@@ -86,37 +93,45 @@ def partition_right(
     j = end
     swaps = 0
 
-    # Scan up to the first element >= pivot. Selection guarantees one
-    # exists, so the first iteration needs no bound check.
-    while lt(data[i], pivot):
-        i += 1
-
-    # Scan down to the first element < pivot. Only guarded when the up
-    # scan stopped immediately, i.e. nothing smaller is known to exist
-    # on the left to act as a sentinel.
-    if i - 1 == begin:
-        while i < j:
-            j -= 1
-            if lt(data[j], pivot):
-                break
-    else:
-        j -= 1
-        while not lt(data[j], pivot):
-            j -= 1
-
-    # If the first misplaced pair already crossed, the range was
-    # partitioned before we touched it.
-    no_swaps = i >= j
-
-    while i < j:
-        data[i], data[j] = data[j], data[i]
-        swaps += 1
-        i += 1
+    try:
+        # Scan up to the first element >= pivot. Selection guarantees one
+        # exists, so the first iteration needs no bound check.
         while lt(data[i], pivot):
             i += 1
-        j -= 1
-        while not lt(data[j], pivot):
+
+        # Scan down to the first element < pivot. Only guarded when the up
+        # scan stopped immediately, i.e. nothing smaller is known to exist
+        # on the left to act as a sentinel.
+        if i - 1 == begin:
+            while i < j:
+                j -= 1
+                if lt(data[j], pivot):
+                    break
+        else:
             j -= 1
+            while not lt(data[j], pivot):
+                j -= 1
+
+        # If the first misplaced pair already crossed, the range was
+        # partitioned before we touched it.
+        no_swaps = i >= j
+
+        while i < j:
+            data[i], data[j] = data[j], data[i]
+            swaps += 1
+            i += 1
+            while lt(data[i], pivot):
+                i += 1
+            j -= 1
+            while not lt(data[j], pivot):
+                j -= 1
+    except IndexError as exc:
+        if i >= len(data) or j < -len(data):
+            raise ValueError(NOT_STRICT_WEAK) from exc
+        raise
+    # Under a strict weak ordering the down scan stops above begin.
+    if j < begin:
+        raise ValueError(NOT_STRICT_WEAK)
 
     pivot_pos = i - 1
     data[begin] = data[pivot_pos]
@@ -144,34 +159,41 @@ def partition_left(
     partition then consists of elements equal to the pivot only.
     """
     pivot = data[begin]
-
-    # Scan down to the first element <= pivot; the pivot itself stops
-    # the scan at worst.
-    j = end - 1
-    while lt(pivot, data[j]):
-        j -= 1
-
     i = begin
-    if j + 1 == end:
-        while i < j:
-            i += 1
-            if lt(pivot, data[i]):
-                break
-    else:
-        i += 1
-        while not lt(pivot, data[i]):
-            i += 1
-
+    j = end - 1
     swaps = 0
-    while i < j:
-        data[i], data[j] = data[j], data[i]
-        swaps += 1
-        j -= 1
+    try:
+        # Scan down to the first element <= pivot; the pivot itself stops
+        # the scan at worst.
         while lt(pivot, data[j]):
             j -= 1
-        i += 1
-        while not lt(pivot, data[i]):
+
+        if j + 1 == end:
+            while i < j:
+                i += 1
+                if lt(pivot, data[i]):
+                    break
+        else:
             i += 1
+            while not lt(pivot, data[i]):
+                i += 1
+
+        while i < j:
+            data[i], data[j] = data[j], data[i]
+            swaps += 1
+            j -= 1
+            while lt(pivot, data[j]):
+                j -= 1
+            i += 1
+            while not lt(pivot, data[i]):
+                i += 1
+    except IndexError as exc:
+        if i >= len(data) or j < -len(data):
+            raise ValueError(NOT_STRICT_WEAK) from exc
+        raise
+    # Under a strict weak ordering the pivot stops the down scan.
+    if j < begin:
+        raise ValueError(NOT_STRICT_WEAK)
 
     pivot_pos = j
     data[begin] = data[pivot_pos]

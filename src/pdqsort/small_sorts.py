@@ -10,8 +10,10 @@ of non-leftmost ranges holds two lifted elements and two holes while it
 scans for the larger), and ``sort3`` only swaps. No kernel calls a
 function between the first store over a lifted element's slot and the
 ``try`` that drops the element, so a signal's ``KeyboardInterrupt``,
-raised at a function entry, cannot lose it; on CPython 3.13 one raised
-at a loop's backward jump still can (see the README).
+raised at a function entry, cannot lose it. Every loop that runs while
+an element is held is written ``while True:`` with a ``break``, whose
+backward jump, unlike that of a ``while <cond>:`` loop from CPython
+3.12 on, lies inside the ``try``'s exception-table range (see the README).
 :mod:`pdqsort.inline` generates the ``operator.lt`` branch of each kernel.
 """
 
@@ -69,7 +71,9 @@ def unguarded_insertion_sort(
     (and on to negative indices, which wrap): the pass then ends as
     usual, its elements dropped into the holes, and the kernel raises
     ``ValueError``, the list still a permutation. The test sits after
-    the scans, once per pass.
+    the scans, once per pass. A scan that leaves the list raises it
+    from the subscript's ``IndexError``; an ``IndexError`` raised inside
+    the list is the ordering's own, and propagates.
     """
     assert begin > 0, "unguarded insertion sort needs a predecessor"
     sentinel = begin - 1
@@ -88,14 +92,22 @@ def unguarded_insertion_sort(
         j = i - 1
         try:
             try:
-                while lt(a1, data[j]):
+                while True:
+                    if not lt(a1, data[j]):
+                        break
                     data[j + 2] = data[j]
                     j -= 1
             finally:
                 data[j + 2] = a1
-            while lt(a2, data[j]):
+            while True:
+                if not lt(a2, data[j]):
+                    break
                 data[j + 1] = data[j]
                 j -= 1
+        except IndexError as exc:
+            if j < -len(data):
+                raise ValueError(NOT_STRICT_WEAK) from exc
+            raise
         finally:
             data[j + 1] = a2
         if j < sentinel:
@@ -141,7 +153,9 @@ def partial_insertion_sort(
             j = i - 1
             data[i] = data[j]
             try:
-                while j > begin and lt(v, data[j - 1]):
+                while True:
+                    if j <= begin or not lt(v, data[j - 1]):
+                        break
                     data[j] = data[j - 1]
                     j -= 1
             finally:
@@ -200,7 +214,9 @@ def heapsort(
             data[begin + i] = data[begin]
         child = 2 * hole + skew
         try:
-            while child < last:
+            while True:
+                if child >= last:
+                    break
                 if lt(data[child], data[child + 1]):
                     child += 1
                 data[hole] = data[child]
@@ -210,7 +226,9 @@ def heapsort(
                 data[hole] = data[child]
                 hole = child
             leaf = hole
-            while hole > top:
+            while True:
+                if hole <= top:
+                    break
                 parent = (hole - skew) // 2
                 if not lt(data[parent], v):
                     break

@@ -278,6 +278,28 @@ def test_scan_off_the_list_raises_value_error(relation, inline):
 
 
 @pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+@pytest.mark.parametrize("kernel", (partition_right, partition_left), ids=lambda k: k.__name__)
+def test_partition_down_scan_that_passes_begin_raises_value_error(kernel, inline):
+    # The down scan walks past the pivot at begin = 2 and stops at the
+    # marker at index 1, inside the list. partition_right's up scan is
+    # told once that an element is less than the pivot, and then that
+    # only the marker is; partition_left's down scan is told that every
+    # element but the marker is greater than the pivot.
+    marker = 11
+    calls = itertools.count()
+    relation = {
+        partition_right: lambda a, b: next(calls) == 0 or a == marker,
+        partition_left: lambda a, b: b != marker,
+    }[kernel]
+    work, ordering = on_path(inline, [10, marker, 50, 20, 30, 40, 60, 70], relation)
+    before = list(work)
+    with pytest.raises(ValueError, match="not a strict weak ordering"):
+        kernel(work, 2, len(work), ordering)
+    assert same_elements(work, before)
+    assert work[:2] == before[:2]
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
 def test_index_error_of_the_ordering_propagates_unchanged(inline):
     rng = random.Random(38)
     arr = [rng.randint(0, 50) for _ in range(300)]

@@ -9,14 +9,16 @@ permutation of its input. It runs once under ``operator.lt`` (the inline
 branch) and once under a Python relation (the generic branch, whose
 calls add their own entries).
 
-Backward jumps are swept on 3.11 only. 3.10 also checks at other
+Backward jumps are swept from 3.11 on. 3.10 also checks at other
 instructions, which the sweep does not model. From 3.12 the jump that
-closes a ``while`` loop at the end of a ``try`` body lies outside the
-``try``'s exception-table range, so a raise before that jump escapes the
-``finally`` that drops the held element, and the sweep would flag every
-such loop. Whether a real signal lands there depends on the version:
-ROADMAP.md item 2 measured losses on 3.13 and none on 3.12, and keeps
-that open.
+closes a ``while <cond>:`` loop at the end of a ``try`` body lies
+outside the ``try``'s exception-table range, so a raise before that
+jump would escape the ``finally`` that drops the held element; the
+kernels' held-element loops are written ``while True:`` with a
+``break``, whose jump lies inside the range, and the sweep checks that.
+Only the frames of ``heapsort`` and of the Python relation are swept: a
+call that the interpreter makes on its own, such as a ``gc.callbacks``
+entry during a collection, would be a point that some runs never reach.
 
 The module imports no pytest, so it also runs as a script on an
 interpreter without it, printing the points swept and broken and
@@ -33,8 +35,8 @@ import sys
 
 from pdqsort import heapsort, small_sorts
 
-SWEEP_JUMPS = sys.version_info[:2] == (3, 11)
-# The backward jumps of 3.11 that check for signals when taken;
+SWEEP_JUMPS = sys.version_info >= (3, 11)
+# The backward jumps of 3.11 and later that check for signals when taken;
 # JUMP_BACKWARD_NO_INTERRUPT does not.
 _BACKWARD_JUMPS = frozenset(
     dis.opmap[name]
@@ -77,11 +79,13 @@ def interrupter(stop=None):
             raise KeyboardInterrupt
 
     def call(frame, event, arg):
+        kernel = frame.f_globals.get("__name__") == small_sorts.__name__
+        if not kernel and frame.f_code is not less.__code__:
+            return None
         point()
-        if not SWEEP_JUMPS or frame.f_globals.get("__name__") != small_sorts.__name__:
+        if not SWEEP_JUMPS or not kernel:
             return None
         jumps = _jump_offsets(frame.f_code)
-        frame.f_trace_opcodes = lines >= window
 
         def local(frame, event, arg):
             nonlocal lines, rank
@@ -99,6 +103,10 @@ def interrupter(stop=None):
                 point()
             return local
 
+        # From 3.13 opcode events start only for a frame that already has
+        # its trace function when it asks for them.
+        frame.f_trace = local
+        frame.f_trace_opcodes = lines >= window
         return local
 
     return call, points
@@ -113,6 +121,9 @@ ORDERINGS = {"operator.lt": operator.lt, "Python relation": less}
 
 def traced_heapsort(work, lt, hook):
     previous = sys.gettrace()
+    # On 3.12 sys.settrace turns opcode events on only once some frame has
+    # asked for them; this frame has no trace function, so it gets none.
+    sys._getframe().f_trace_opcodes = True
     sys.settrace(hook)
     try:
         heapsort(work, 0, len(work), lt)
