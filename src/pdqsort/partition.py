@@ -17,13 +17,14 @@ selection, which guarantees an element >= pivot somewhere to its right;
 that element and previously scanned ones serve as sentinels, so the inner
 scans of partition_right and partition_left carry no bound checks. An
 ordering that is not a strict weak ordering can carry such a scan past
-its sentinel, off the list or below ``begin``; the kernel then raises
-``ValueError`` before it places the pivot, chained to the subscript's
-``IndexError`` if the scan left the list. The subscript is evaluated
-before ``lt`` is called, so an ``IndexError`` raised while both indices
-are inside the list is the ordering's own, and propagates. Each kernel
-is written once, against ``lt``; :mod:`pdqsort.inline` generates its
-``operator.lt`` branch.
+its sentinel, off the list, below ``begin`` or (partition_right's up
+scan) past ``end``; the kernel then raises ``ValueError`` before it
+places the pivot, chained to the subscript's ``IndexError`` if the scan
+left the list. The subscript is evaluated before ``lt`` is called, so an
+``IndexError`` raised while both indices are inside the list is the
+ordering's own, and propagates. Each kernel is written once, against
+``lt`` and ``metrics``; :mod:`pdqsort.inline` generates its uncounted
+and ``operator.lt`` branches.
 """
 
 from __future__ import annotations
@@ -129,8 +130,9 @@ def partition_right(
         if i >= len(data) or j < -len(data):
             raise ValueError(NOT_STRICT_WEAK) from exc
         raise
-    # Under a strict weak ordering the down scan stops above begin.
-    if j < begin:
+    # Under a strict weak ordering the down scan stops above begin and
+    # the up scan at end - 1 at the latest.
+    if j < begin or i > end:
         raise ValueError(NOT_STRICT_WEAK)
 
     pivot_pos = i - 1

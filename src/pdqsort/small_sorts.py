@@ -14,7 +14,8 @@ raised at a function entry, cannot lose it. Every loop that runs while
 an element is held is written ``while True:`` with a ``break``, whose
 backward jump, unlike that of a ``while <cond>:`` loop from CPython
 3.12 on, lies inside the ``try``'s exception-table range (see the README).
-:mod:`pdqsort.inline` generates the ``operator.lt`` branch of each kernel.
+:mod:`pdqsort.inline` generates the uncounted and ``operator.lt``
+branches of each kernel.
 """
 
 from __future__ import annotations

@@ -299,6 +299,20 @@ def test_partition_down_scan_that_passes_begin_raises_value_error(kernel, inline
     assert work[:2] == before[:2]
 
 
+@pytest.mark.parametrize("counted", (False, True), ids=("uncounted", "counted"))
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+def test_partition_right_up_scan_that_passes_end_raises_value_error(inline, counted):
+    # Every element but the marker is less than the pivot, so the up scan
+    # walks past end = 4 and stops at the marker at index 5, inside the
+    # list; the pivot would land at index 4, outside the range.
+    marker = 99
+    work, ordering = on_path(inline, [50, 20, 30, 60, 70, marker], lambda a, b: a != marker)
+    before = list(work)
+    with pytest.raises(ValueError, match="not a strict weak ordering"):
+        partition_right(work, 0, 4, ordering, Metrics() if counted else None)
+    assert work == before
+
+
 @pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
 def test_index_error_of_the_ordering_propagates_unchanged(inline):
     rng = random.Random(38)

@@ -1,12 +1,14 @@
-"""The built-in ``<`` path and the generic relation path decide alike.
+"""The three generated branches of every kernel decide alike.
 
-Given ``operator.lt``, every kernel that compares runs the branch that
-``pdqsort.inline`` generated from its source, with ``<`` written inline;
-given any other relation it calls it. Both must make the same comparisons
-in the same order, so each test here runs one input both ways and
-requires the same list, element for element (compared by identity where
-equal values are distinct objects), the same result and the same
-counters.
+Given ``operator.lt`` and no ``metrics``, every kernel that compares runs
+the branch that ``pdqsort.inline`` generated from its source with ``<``
+written inline and the counter statements dropped; given any other
+relation and no ``metrics``, the uncounted branch that calls it; given a
+``Metrics``, the body as written. All must make the same comparisons in
+the same order, so each test here runs one input each way and requires
+the same list, element for element (compared by identity where equal
+values are distinct objects), and the same result, and the two counted
+runs the same counters.
 """
 
 import dis
@@ -14,6 +16,7 @@ import itertools
 import linecache
 import operator
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -25,6 +28,7 @@ from pdqsort import (
     BlockBuffers,
     DistributionSpec,
     Metrics,
+    SortConfig,
     adversary_input,
     block_partition_right,
     choose_pivot,
@@ -64,28 +68,36 @@ def random_arrays(seed):
         yield [f"s{v:04d}" for v in ints]
 
 
-def both_ways(kernel, arr, begin):
-    """Run ``kernel(work, begin, len(work), ordering, metrics)`` with
-    ``operator.lt`` and with ``python_lt``; returns one outcome each."""
-    outcomes = []
+def four_ways(kernel, arr, begin):
+    """Run ``kernel(work, begin, len(work), lt, metrics)`` with ``lt`` in
+    (``operator.lt``, ``python_lt``) and ``metrics`` in (a ``Metrics``,
+    None). Returns the four outcomes, each the permutation by identity and
+    the result, and the ``exchanges`` and ``element_moves`` of the two
+    counted runs."""
+    outcomes, counts = [], []
     for lt in (operator.lt, python_lt):
-        work = list(arr)
-        metrics = Metrics()
-        result = kernel(work, begin, len(work), lt, metrics)
-        outcomes.append((list(map(id, work)), result, metrics.exchanges, metrics.element_moves))
-    return outcomes
+        for metrics in (Metrics(), None):
+            work = list(arr)
+            result = kernel(work, begin, len(work), lt, metrics)
+            outcomes.append((list(map(id, work)), result))
+            if metrics is not None:
+                counts.append((metrics.exchanges, metrics.element_moves))
+    return outcomes, counts
+
+
+def assert_alike(outcomes, counts, arr):
+    assert all(outcome == outcomes[0] for outcome in outcomes), arr
+    assert counts[0] == counts[1], arr
 
 
 def test_partition_right_inline_matches_relation():
     for arr in itertools.chain(criterion2_arrays(), random_arrays(51)):
-        inline, generic = both_ways(partition_right, _prepare_pivot(arr), 0)
-        assert inline == generic, arr
+        assert_alike(*four_ways(partition_right, _prepare_pivot(arr), 0), arr)
 
 
 def test_unguarded_insertion_sort_inline_matches_relation():
     for arr in itertools.chain(criterion2_arrays(), random_arrays(52)):
-        inline, generic = both_ways(unguarded_insertion_sort, [min(arr)] + arr, 1)
-        assert inline == generic, arr
+        assert_alike(*four_ways(unguarded_insertion_sort, [min(arr)] + arr, 1), arr)
 
 
 def equal_predecessor(arr):
@@ -136,11 +148,70 @@ def test_kernel_inline_matches_relation(name):
     prepare, kernel = KERNELS[name]
     results = set()
     for arr in itertools.chain(criterion2_arrays(), random_arrays(54)):
-        inline, generic = both_ways(kernel, *prepare(arr))
-        assert inline == generic, arr
-        results.add(inline[1])
+        outcomes, counts = four_ways(kernel, *prepare(arr))
+        assert_alike(outcomes, counts, arr)
+        results.add(outcomes[0][1])
     if name.startswith("partial_insertion_sort"):
         assert results == {True, False}
+
+
+# The locals each kernel's uncounted branches drop. block_partition_right's
+# swaps decides no_swaps, and partial_insertion_sort's corrections enforces
+# the budget, so both stay.
+COUNTERS = {
+    partition_right: {"swaps"},
+    partition_left: {"swaps"},
+    block_partition_right: set(),
+    sort3: {"swaps"},
+    choose_pivot: set(),
+    unguarded_insertion_sort: {"moves"},
+    partial_insertion_sort: {"moves"},
+    heapsort: {"moves", "leaf"},
+}
+
+
+def test_uncounted_branches_drop_exactly_the_counters():
+    assert {k.__name__: k.counters for k in COUNTERS} == {k.__name__: v for k, v in COUNTERS.items()}
+
+
+def test_uncounted_sorts_run_no_counter_statement():
+    # Every generated branch keeps its source's line numbers, so a line
+    # event at a counter statement shows that an uncounted run executed it.
+    by_name = {k.__name__: k for k in COUNTERS}
+    seen = set()
+
+    def trace(frame, event, arg):
+        kernel = by_name.get(frame.f_code.co_name)
+        if kernel is None or frame.f_globals is not sys.modules[kernel.__module__].__dict__:
+            return None
+        seen.add(kernel.__name__)
+        counter = "|".join(map(re.escape, kernel.counters)) or "(?!)"
+        dropped = re.compile(rf"\s*(if metrics is not None|({counter}) \+?= )")
+
+        def lines(frame, event, arg):
+            if event == "line":
+                line = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+                assert not dropped.match(line), (kernel.__name__, line)
+            return lines
+
+        return lines
+
+    block = SortConfig(use_block_partition=True)
+    runs = [
+        lambda: sort(generate(DistributionSpec("uniform", 600, "int64", seed=56))),
+        lambda: sort(adversary_input(600)),
+        lambda: sort_with(generate(DistributionSpec("mod8", 600, "int64", seed=56)), python_lt),
+        lambda: sort_with(generate(DistributionSpec("organ", 600, "int64", seed=56)), python_lt, block),
+        lambda: heapsort(list(range(300, 0, -1)), 0, 300, python_lt),
+    ]
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for run in runs:
+            run()
+    finally:
+        sys.settrace(previous)
+    assert seen == set(by_name)
 
 
 class Keyed:

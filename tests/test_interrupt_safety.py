@@ -5,9 +5,12 @@ a pending signal: at every function entry, and at the backward jumps
 that close loops. The sweep raises it at each such point in turn, from a
 ``sys.settrace`` hook with ``f_trace_opcodes``, while ``heapsort`` sorts
 a shuffled list, and checks after each that the list is still a
-permutation of its input. It runs once under ``operator.lt`` (the inline
-branch) and once under a Python relation (the generic branch, whose
-calls add their own entries).
+permutation of its input. It runs three times, once on each branch
+that :mod:`pdqsort.inline` generates: uncounted under ``operator.lt`` (the
+inline ``<`` branch, which ``sort()`` runs), uncounted under a Python
+relation (whose calls add their own entries), and counted, given a
+``Metrics``, under the Python relation (the branch ``instrumented_sort``
+runs).
 
 Backward jumps are swept from 3.11 on. 3.10 also checks at other
 instructions, which the sweep does not model. From 3.12 the jump that
@@ -33,7 +36,7 @@ import operator
 import random
 import sys
 
-from pdqsort import heapsort, small_sorts
+from pdqsort import Metrics, heapsort, small_sorts
 
 SWEEP_JUMPS = sys.version_info >= (3, 11)
 # The backward jumps of 3.11 and later that check for signals when taken;
@@ -53,7 +56,19 @@ _BACKWARD_JUMPS = frozenset(
 
 @functools.lru_cache(maxsize=None)
 def _jump_offsets(code):
-    return frozenset(i.offset for i in dis.get_instructions(code) if i.opcode in _BACKWARD_JUMPS)
+    """The offsets at which the backward jumps' opcode events come: the
+    jump's own, or that of the ``EXTENDED_ARG`` in front of it, which 3.11
+    reports in its place."""
+    offsets = set()
+    start = None
+    for ins in dis.get_instructions(code):
+        if start is None:
+            start = ins.offset
+        if ins.opcode in _BACKWARD_JUMPS:
+            offsets.add(start)
+        if ins.opname != "EXTENDED_ARG":
+            start = None
+    return frozenset(offsets)
 
 
 def interrupter(stop=None):
@@ -116,34 +131,40 @@ def less(a, b):
     return a < b
 
 
-ORDERINGS = {"operator.lt": operator.lt, "Python relation": less}
+# name -> (ordering, whether heapsort counts into a Metrics).
+BRANCHES = {
+    "operator.lt": (operator.lt, False),
+    "Python relation": (less, False),
+    "Python relation, counted": (less, True),
+}
 
 
-def traced_heapsort(work, lt, hook):
+def traced_heapsort(work, lt, counted, hook):
+    metrics = Metrics() if counted else None
     previous = sys.gettrace()
     # On 3.12 sys.settrace turns opcode events on only once some frame has
     # asked for them; this frame has no trace function, so it gets none.
     sys._getframe().f_trace_opcodes = True
     sys.settrace(hook)
     try:
-        heapsort(work, 0, len(work), lt)
+        heapsort(work, 0, len(work), lt, metrics)
     finally:
         sys.settrace(previous)
 
 
-def sweep(lt, n=300, seed=11):
+def sweep(lt, counted, n=300, seed=11):
     """Interrupt ``heapsort`` of a shuffled ``n``-element list at every
     point in turn; return the number of points and those that broke the
     permutation."""
     arr = random.Random(seed).sample(range(n), n)
     recorder, points = interrupter()
-    traced_heapsort(list(arr), lt, recorder)
+    traced_heapsort(list(arr), lt, counted, recorder)
     expected = sorted(arr)
     broken = []
     for k, stop in enumerate(points, 1):
         work = list(arr)
         try:
-            traced_heapsort(work, lt, interrupter(stop)[0])
+            traced_heapsort(work, lt, counted, interrupter(stop)[0])
         except KeyboardInterrupt:
             pass
         else:
@@ -154,16 +175,16 @@ def sweep(lt, n=300, seed=11):
 
 
 def test_heapsort_interrupted_at_any_point_keeps_permutation():
-    for name, lt in ORDERINGS.items():
-        points, broken = sweep(lt)
+    for name, branch in BRANCHES.items():
+        points, broken = sweep(*branch)
         assert not broken, f"{name}: {len(broken)} of {points} points lost an element"
 
 
 if __name__ == "__main__":
     print(f"Python {sys.version.split()[0]}, backward jumps swept: {SWEEP_JUMPS}")
     failed = False
-    for name, lt in ORDERINGS.items():
-        points, broken = sweep(lt)
+    for name, branch in BRANCHES.items():
+        points, broken = sweep(*branch)
         failed = failed or bool(broken)
         print(f"{name}: {len(broken)} of {points} points broke the permutation")
     sys.exit(1 if failed else 0)
