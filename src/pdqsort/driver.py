@@ -167,6 +167,7 @@ def break_patterns(
         metrics.exchanges += 2 * pairs
 
 
+@inline_lt
 def _sort_range(
     data: MutableSequence,
     lt: Ordering,
@@ -189,6 +190,10 @@ def _sort_range(
     of ranges pending. It is at most log2(n): each pending range was
     pushed as the loop went on with a side at most half of their parent,
     and the range being sorted lies inside every such side.
+
+    Like the kernels, it is written once against ``lt`` and ``metrics``;
+    :mod:`pdqsort.inline` generates its uncounted and ``operator.lt``
+    branches, so ``sort()`` runs a loop with no counter test.
 
     ``depth_limit=True`` turns the bad-partition budget into introsort's
     depth limit: every partition spends one of 2*floor(log2 n) units and
@@ -273,17 +278,18 @@ def _sort_range(
                 # The optimistic path: a swapless partition of a range
                 # that may be nearly sorted. The right side is tried
                 # only if the left one finished.
-                attempts = 1
+                if metrics is not None:
+                    metrics.partial_insertion_attempts += 1
                 sides_sorted = partial_insertion_sort(
                     data, begin, pivot_pos, lt, PARTIAL_INSERTION_BUDGET, metrics
                 )
                 if sides_sorted:
-                    attempts = 2
+                    if metrics is not None:
+                        metrics.partial_insertion_attempts += 1
                     sides_sorted = partial_insertion_sort(
                         data, pivot_pos + 1, end, lt, PARTIAL_INSERTION_BUDGET, metrics
                     )
                 if metrics is not None:
-                    metrics.partial_insertion_attempts += attempts
                     metrics.partial_insertion_aborts += not sides_sorted
 
             if not sides_sorted:

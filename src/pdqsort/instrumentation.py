@@ -30,6 +30,11 @@ class Metrics:
     each partition would reach, with the whole list at depth 0.
     ``distinct_pivot_reuse`` maps pivot values to times chosen and is only
     populated when pivot tracing was requested.
+
+    A counted sort that raises keeps the counts of the work done before
+    the raise: the sort loop and the kernels add to the counters as they
+    go, not when they return. Only the step that the raise cuts short (an
+    insertion, a heapsort sift, a block partition) may be missing.
     """
 
     comparisons: int = 0

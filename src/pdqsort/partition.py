@@ -92,7 +92,6 @@ def partition_right(
     pivot = data[begin]
     i = begin + 1
     j = end
-    swaps = 0
 
     try:
         # Scan up to the first element >= pivot. Selection guarantees one
@@ -119,7 +118,8 @@ def partition_right(
 
         while i < j:
             data[i], data[j] = data[j], data[i]
-            swaps += 1
+            if metrics is not None:
+                metrics.exchanges += 1
             i += 1
             while lt(data[i], pivot):
                 i += 1
@@ -141,7 +141,6 @@ def partition_right(
 
     if metrics is not None:
         metrics.partition_right_calls += 1
-        metrics.exchanges += swaps
         metrics.element_moves += 2
     return PartitionResult((pivot_pos - begin, no_swaps))
 
@@ -163,7 +162,6 @@ def partition_left(
     pivot = data[begin]
     i = begin
     j = end - 1
-    swaps = 0
     try:
         # Scan down to the first element <= pivot; the pivot itself stops
         # the scan at worst.
@@ -182,7 +180,8 @@ def partition_left(
 
         while i < j:
             data[i], data[j] = data[j], data[i]
-            swaps += 1
+            if metrics is not None:
+                metrics.exchanges += 1
             j -= 1
             while lt(pivot, data[j]):
                 j -= 1
@@ -203,7 +202,6 @@ def partition_left(
 
     if metrics is not None:
         metrics.partition_left_calls += 1
-        metrics.exchanges += swaps
         metrics.element_moves += 2
     return PartitionResult((pivot_pos - begin, False))
 

@@ -84,7 +84,6 @@ def unguarded_insertion_sort(
     # An odd count left: the pairs start one element early, at the last
     # element of the prefix.
     i -= (end - i) & 1
-    moves = 0
     while i + 1 < end:
         a1 = data[i]
         a2 = data[i + 1]
@@ -113,11 +112,10 @@ def unguarded_insertion_sort(
             data[j + 1] = a2
         if j < sentinel:
             raise ValueError(NOT_STRICT_WEAK)
-        # Two lifts, i - 1 - j fills and two drops.
-        moves += i + 3 - j
+        if metrics is not None:
+            # Two lifts, i - 1 - j fills and two drops.
+            metrics.element_moves += i + 3 - j
         i += 2
-    if metrics is not None and moves:
-        metrics.element_moves += moves
 
 
 @inline_lt
@@ -142,13 +140,10 @@ def partial_insertion_sort(
     if budget < 0:
         raise ValueError("correction budget must be non-negative")
     corrections = 0
-    moves = 0
     for i in range(begin + 1, end):
         if lt(data[i], data[i - 1]):
             corrections += 1
             if corrections > budget:
-                if metrics is not None and moves:
-                    metrics.element_moves += moves
                 return False
             v = data[i]
             j = i - 1
@@ -161,9 +156,8 @@ def partial_insertion_sort(
                     j -= 1
             finally:
                 data[j] = v
-            moves += i - j + 2
-    if metrics is not None and moves:
-        metrics.element_moves += moves
+            if metrics is not None:
+                metrics.element_moves += i - j + 2
     return True
 
 
@@ -198,9 +192,6 @@ def heapsort(
     # Absolute indices: the children of i are 2*i + skew and 2*i + skew + 1,
     # its parent is (i - skew) // 2.
     skew = 1 - begin
-    # A lift and a drop per sift, and each pop's move of the root; the
-    # loop adds the hole fills.
-    moves = 2 * (n // 2) + 3 * (n - 1)
     for i in range(n + n // 2 - 1, 0, -1):
         if i >= n:
             # Build: sift the element at root i - n of the whole heap.
@@ -226,7 +217,9 @@ def heapsort(
             if child == last:
                 data[hole] = data[child]
                 hole = child
-            leaf = hole
+            if metrics is not None:
+                # The descent's hole fills, one per level, from the heap depths.
+                metrics.element_moves += (hole + skew).bit_length() - (top + skew).bit_length()
             while True:
                 if hole <= top:
                     break
@@ -235,12 +228,13 @@ def heapsort(
                     break
                 data[hole] = data[parent]
                 hole = parent
+                if metrics is not None:
+                    metrics.element_moves += 1
         finally:
             data[hole] = v
-        # Levels down to the leaf plus levels back up, from the heap depths.
-        moves += 2 * (leaf + skew).bit_length() - (top + skew).bit_length() - (hole + skew).bit_length()
-    if metrics is not None:
-        metrics.element_moves += moves
+        if metrics is not None:
+            # The lift and the drop, and a pop's move of the root.
+            metrics.element_moves += 2 if i >= n else 3
 
 
 @inline_lt
@@ -257,15 +251,15 @@ def sort3(
     At most 3 comparisons. Used for median-of-3 pivot selection; with
     ``(a, b, c)`` = (middle, first, last) the median lands at the front.
     """
-    swaps = 0
     if lt(data[b], data[a]):
         data[a], data[b] = data[b], data[a]
-        swaps += 1
+        if metrics is not None:
+            metrics.exchanges += 1
     if lt(data[c], data[b]):
         data[b], data[c] = data[c], data[b]
-        swaps += 1
+        if metrics is not None:
+            metrics.exchanges += 1
         if lt(data[b], data[a]):
             data[a], data[b] = data[b], data[a]
-            swaps += 1
-    if metrics is not None and swaps:
-        metrics.exchanges += swaps
+            if metrics is not None:
+                metrics.exchanges += 1

@@ -1,8 +1,9 @@
 """The three generated branches of every kernel decide alike.
 
-Given ``operator.lt`` and no ``metrics``, every kernel that compares runs
-the branch that ``pdqsort.inline`` generated from its source with ``<``
-written inline and the counter statements dropped; given any other
+Given ``operator.lt`` and no ``metrics``, every kernel that compares,
+and the sort loop, runs the branch that ``pdqsort.inline`` generated from
+its source with ``<`` written inline and the counter statements dropped;
+given any other
 relation and no ``metrics``, the uncounted branch that calls it; given a
 ``Metrics``, the body as written. All must make the same comparisons in
 the same order, so each test here runs one input each way and requires
@@ -44,6 +45,7 @@ from pdqsort import (
     unguarded_insertion_sort,
 )
 from pdqsort.acceptance import _prepare_pivot, _toggle_configs
+from pdqsort.driver import _sort_range
 
 
 def python_lt(a, b):
@@ -155,38 +157,32 @@ def test_kernel_inline_matches_relation(name):
         assert results == {True, False}
 
 
-# The locals each kernel's uncounted branches drop. block_partition_right's
-# swaps decides no_swaps, and partial_insertion_sort's corrections enforces
-# the budget, so both stay.
-COUNTERS = {
-    partition_right: {"swaps"},
-    partition_left: {"swaps"},
-    block_partition_right: set(),
-    sort3: {"swaps"},
-    choose_pivot: set(),
-    unguarded_insertion_sort: {"moves"},
-    partial_insertion_sort: {"moves"},
-    heapsort: {"moves", "leaf"},
-}
-
-
-def test_uncounted_branches_drop_exactly_the_counters():
-    assert {k.__name__: k.counters for k in COUNTERS} == {k.__name__: v for k, v in COUNTERS.items()}
+# Every function that pdqsort.inline generates branches of.
+GENERATED = (
+    partition_right,
+    partition_left,
+    block_partition_right,
+    sort3,
+    choose_pivot,
+    unguarded_insertion_sort,
+    partial_insertion_sort,
+    heapsort,
+    _sort_range,
+)
 
 
 def test_uncounted_sorts_run_no_counter_statement():
     # Every generated branch keeps its source's line numbers, so a line
     # event at a counter statement shows that an uncounted run executed it.
-    by_name = {k.__name__: k for k in COUNTERS}
+    by_name = {k.__name__: k for k in GENERATED}
     seen = set()
+    dropped = re.compile(r"\s*if metrics is not None")
 
     def trace(frame, event, arg):
         kernel = by_name.get(frame.f_code.co_name)
         if kernel is None or frame.f_globals is not sys.modules[kernel.__module__].__dict__:
             return None
         seen.add(kernel.__name__)
-        counter = "|".join(map(re.escape, kernel.counters)) or "(?!)"
-        dropped = re.compile(rf"\s*(if metrics is not None|({counter}) \+?= )")
 
         def lines(frame, event, arg):
             if event == "line":
@@ -240,9 +236,8 @@ def test_sort_inline_matches_sort_with_relation(config):
             assert [x.key for x in a] == sorted(x.key for x in items)
 
 
-def test_sort_calls_operator_lt_only_for_the_predecessor_check():
-    # With every comparing kernel inline, the one Python-level call of
-    # operator.lt left is _sort_range's check of a range's predecessor.
+def test_sort_makes_no_python_level_call_of_operator_lt():
+    # The sort loop and every comparing kernel run their inline branch.
     inputs = [
         generate(DistributionSpec(kind, 3000, "int64", seed=55))
         for kind in ("uniform", "dupsq", "mod8", "organ")
@@ -263,7 +258,7 @@ def test_sort_calls_operator_lt_only_for_the_predecessor_check():
         finally:
             sys.setprofile(previous)
         assert data == expected
-    assert set(callers) == {"_sort_range"}, callers
+    assert not callers, callers
 
 
 class Poison:

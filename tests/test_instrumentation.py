@@ -8,6 +8,7 @@ from pdqsort import (
     Metrics,
     adversary_input,
     counting_ordering,
+    heapsort,
     insertion_sort,
     instrumented_sort,
 )
@@ -61,6 +62,26 @@ class TestMetrics:
         assert m.comparisons > 0
         assert m.partition_right_calls > 0
         assert m.distinct_pivot_reuse is None
+
+    def test_counted_sort_that_raises_keeps_its_counts(self):
+        # The kernels bump the counters as the work is done, so a heapsort
+        # cut short halfway by its ordering keeps the moves made before.
+        arr = random.Random(33).sample(range(500), 500)
+        full = Metrics()
+        heapsort(list(arr), 0, len(arr), operator.lt, full)
+        calls = 0
+
+        def cut_short(a, b):
+            nonlocal calls
+            calls += 1
+            if calls > 2000:
+                raise RuntimeError("cut short")
+            return a < b
+
+        m = Metrics()
+        with pytest.raises(RuntimeError):
+            heapsort(list(arr), 0, len(arr), cut_short, m)
+        assert 0 < m.element_moves < full.element_moves
 
     def test_pivot_trace(self):
         rng = random.Random(33)

@@ -1,16 +1,18 @@
-"""Ctrl-C at a signal check inside the heapsort fallback leaves a permutation.
+"""Ctrl-C at a signal check inside a sort leaves a permutation.
 
 CPython raises ``KeyboardInterrupt`` where its evaluation loop checks for
 a pending signal: at every function entry, and at the backward jumps
 that close loops. The sweep raises it at each such point in turn, from a
-``sys.settrace`` hook with ``f_trace_opcodes``, while ``heapsort`` sorts
-a shuffled list, and checks after each that the list is still a
-permutation of its input. It runs three times, once on each branch
-that :mod:`pdqsort.inline` generates: uncounted under ``operator.lt`` (the
+``sys.settrace`` hook with ``f_trace_opcodes``, while a list is sorted,
+and checks after each that the list is still a permutation of its input.
+The heapsort fallback sorts a shuffled list on each branch that
+:mod:`pdqsort.inline` generates: uncounted under ``operator.lt`` (the
 inline ``<`` branch, which ``sort()`` runs), uncounted under a Python
 relation (whose calls add their own entries), and counted, given a
 ``Metrics``, under the Python relation (the branch ``instrumented_sort``
-runs).
+runs). ``sort()`` itself, whose sort loop and kernels all run their
+inline branch, sorts a small ``uniform`` input and a ``dupsq`` input
+that reaches ``partition_left``.
 
 Backward jumps are swept from 3.11 on. 3.10 also checks at other
 instructions, which the sweep does not model. From 3.12 the jump that
@@ -19,9 +21,10 @@ outside the ``try``'s exception-table range, so a raise before that
 jump would escape the ``finally`` that drops the held element; the
 kernels' held-element loops are written ``while True:`` with a
 ``break``, whose jump lies inside the range, and the sweep checks that.
-Only the frames of ``heapsort`` and of the Python relation are swept: a
-call that the interpreter makes on its own, such as a ``gc.callbacks``
-entry during a collection, would be a point that some runs never reach.
+Only the frames of the ``driver``, ``partition`` and ``small_sorts``
+modules and of the Python relation are swept: a call that the
+interpreter makes on its own, such as a ``gc.callbacks`` entry during a
+collection, would be a point that some runs never reach.
 
 The module imports no pytest, so it also runs as a script on an
 interpreter without it, printing the points swept and broken and
@@ -36,7 +39,20 @@ import operator
 import random
 import sys
 
-from pdqsort import Metrics, heapsort, small_sorts
+from pdqsort import (
+    DistributionSpec,
+    Metrics,
+    driver,
+    generate,
+    heapsort,
+    instrumented_sort,
+    partition,
+    small_sorts,
+    sort,
+)
+
+# The modules whose frames are swept.
+SWEPT = frozenset(module.__name__ for module in (driver, partition, small_sorts))
 
 SWEEP_JUMPS = sys.version_info >= (3, 11)
 # The backward jumps of 3.11 and later that check for signals when taken;
@@ -94,7 +110,7 @@ def interrupter(stop=None):
             raise KeyboardInterrupt
 
     def call(frame, event, arg):
-        kernel = frame.f_globals.get("__name__") == small_sorts.__name__
+        kernel = frame.f_globals.get("__name__") in SWEPT
         if not kernel and frame.f_code is not less.__code__:
             return None
         point()
@@ -111,7 +127,7 @@ def interrupter(stop=None):
                     # Every traced frame on the stack, the callers too; the
                     # opcode event of this line's first instruction follows.
                     caller = frame
-                    while caller.f_globals.get("__name__") == small_sorts.__name__:
+                    while caller.f_globals.get("__name__") in SWEPT:
                         caller.f_trace_opcodes = True
                         caller = caller.f_back
             elif event == "opcode" and frame.f_lasti in jumps:
@@ -131,40 +147,47 @@ def less(a, b):
     return a < b
 
 
-# name -> (ordering, whether heapsort counts into a Metrics).
-BRANCHES = {
-    "operator.lt": (operator.lt, False),
-    "Python relation": (less, False),
-    "Python relation, counted": (less, True),
+def heapsort_with(lt, counted):
+    """A call that heapsorts its list argument, given a ``Metrics`` if
+    ``counted``."""
+    return lambda work: heapsort(work, 0, len(work), lt, Metrics() if counted else None)
+
+
+HEAPSORT_BRANCHES = {
+    "operator.lt": heapsort_with(operator.lt, False),
+    "Python relation": heapsort_with(less, False),
+    "Python relation, counted": heapsort_with(less, True),
+}
+HEAPSORT_INPUT = random.Random(11).sample(range(300), 300)
+
+SORT_INPUTS = {
+    kind: generate(DistributionSpec(kind, 100, "int64", seed=4)) for kind in ("uniform", "dupsq")
 }
 
 
-def traced_heapsort(work, lt, counted, hook):
-    metrics = Metrics() if counted else None
+def traced(run, work, hook):
     previous = sys.gettrace()
     # On 3.12 sys.settrace turns opcode events on only once some frame has
     # asked for them; this frame has no trace function, so it gets none.
     sys._getframe().f_trace_opcodes = True
     sys.settrace(hook)
     try:
-        heapsort(work, 0, len(work), lt, metrics)
+        run(work)
     finally:
         sys.settrace(previous)
 
 
-def sweep(lt, counted, n=300, seed=11):
-    """Interrupt ``heapsort`` of a shuffled ``n``-element list at every
-    point in turn; return the number of points and those that broke the
-    permutation."""
-    arr = random.Random(seed).sample(range(n), n)
+def sweep(run, arr):
+    """Interrupt ``run`` on a copy of ``arr`` at every point in turn;
+    return the number of points and those that broke the permutation."""
     recorder, points = interrupter()
-    traced_heapsort(list(arr), lt, counted, recorder)
+    traced(run, list(arr), recorder)
     expected = sorted(arr)
     broken = []
     for k, stop in enumerate(points, 1):
         work = list(arr)
         try:
-            traced_heapsort(work, lt, counted, interrupter(stop)[0])
+            traced(run, work, interrupter(stop)[0])
         except KeyboardInterrupt:
             pass
         else:
@@ -175,16 +198,25 @@ def sweep(lt, counted, n=300, seed=11):
 
 
 def test_heapsort_interrupted_at_any_point_keeps_permutation():
-    for name, branch in BRANCHES.items():
-        points, broken = sweep(*branch)
+    for name, run in HEAPSORT_BRANCHES.items():
+        points, broken = sweep(run, HEAPSORT_INPUT)
         assert not broken, f"{name}: {len(broken)} of {points} points lost an element"
+
+
+def test_sort_interrupted_at_any_point_keeps_permutation():
+    assert instrumented_sort(list(SORT_INPUTS["dupsq"])).partition_left_calls > 0
+    for kind, arr in SORT_INPUTS.items():
+        points, broken = sweep(sort, arr)
+        assert not broken, f"{kind}: {len(broken)} of {points} points lost an element"
 
 
 if __name__ == "__main__":
     print(f"Python {sys.version.split()[0]}, backward jumps swept: {SWEEP_JUMPS}")
+    runs = [(f"heapsort, {name}", run, HEAPSORT_INPUT) for name, run in HEAPSORT_BRANCHES.items()]
+    runs += [(f"sort(), {kind}", sort, arr) for kind, arr in SORT_INPUTS.items()]
     failed = False
-    for name, branch in BRANCHES.items():
-        points, broken = sweep(*branch)
+    for name, run, arr in runs:
+        points, broken = sweep(run, arr)
         failed = failed or bool(broken)
         print(f"{name}: {len(broken)} of {points} points broke the permutation")
     sys.exit(1 if failed else 0)
