@@ -14,10 +14,10 @@ bad-partition cutoff 1/8.
 The ``pdqsort`` CLI adds benchmark, input-generation, entropy-table and
 verification commands.
 
-``__all__`` lists the public surface. The kernels, ``BlockBuffers`` and
-``PartitionResult`` stay importable from here for tests and benchmarks;
-each kernel takes ``(data, begin, end, lt, ..., metrics=None)``, its
-range and ordering always given (``break_patterns`` does not compare).
+``__all__`` lists the public surface. The kernels and ``PartitionResult``
+stay importable from here for tests and benchmarks; each kernel takes
+``(data, begin, end, lt, ..., metrics=None)``, its range and ordering
+always given (``break_patterns`` does not compare).
 """
 
 from .datagen import (
@@ -44,7 +44,6 @@ from .instrumentation import (
     instrumented_sort,
 )
 from .partition import (
-    BlockBuffers,
     PartitionResult,
     block_partition_right,
     partition_left,

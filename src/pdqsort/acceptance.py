@@ -19,13 +19,15 @@ import random
 import statistics
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
+from . import driver
 from .bench import ALGORITHMS, TIMING_COLUMNS, slowdown_table
 from .datagen import DISTRIBUTION_KINDS, DistributionSpec, SplitMix64, generate
 from .driver import DEFAULT_CONFIG, SortConfig, sort_with
 from .instrumentation import Metrics, adversary_input, counting_ordering, instrumented_sort
-from .partition import BlockBuffers, block_partition_right, partition_left, partition_right
+from .partition import DEFAULT_BLOCK_SIZE, block_partition_right, partition_left, partition_right
 from .small_sorts import sort3
 
 TOGGLE_FIELDS = tuple(f.name for f in fields(SortConfig))
@@ -148,7 +150,6 @@ def criterion_partition_oracle(quick: bool = False) -> CriterionResult:
     t0 = time.perf_counter()
     checked = 0
     max_len = 6 if quick else 7
-    small_buffers = BlockBuffers.for_block_size(2)
     for length in range(2, max_len + 1):
         for arr in itertools.product(range(3), repeat=length):
             prepared = _prepare_pivot(arr)
@@ -162,11 +163,11 @@ def criterion_partition_oracle(quick: bool = False) -> CriterionResult:
             _check_right_contract(prepared, scalar, res_scalar, pv)
             assert length - 1 <= m_scalar.comparisons <= length + 1, "scan count off"
 
-            for buffers in (BlockBuffers.for_block_size(), small_buffers):
+            for block in (DEFAULT_BLOCK_SIZE, 2):
                 blocked = _TracingList(prepared)
                 m_block = Metrics()
                 res_block = block_partition_right(
-                    blocked, 0, length, counting_ordering(operator.lt, m_block), buffers, m_block
+                    blocked, 0, length, counting_ordering(operator.lt, m_block), block, m_block
                 )
                 _check_right_contract(prepared, blocked, res_block, pv)
                 assert m_block.comparisons == length - 1, "block must classify each element once"
@@ -241,6 +242,25 @@ def criterion_linear_duplicates(quick: bool = False) -> CriterionResult:
     return CriterionResult(3, "O(nk) duplicate handling", not problems, True, details)
 
 
+@contextmanager
+def _recording_pivots():
+    """Record, as the sort loop runs, the pivot that each call of
+    ``driver.choose_pivot`` leaves at ``data[begin]``; yields the list of
+    values, in the order picked."""
+    choose_pivot = driver.choose_pivot
+    picks = []
+
+    def recorded(data, begin, *rest):
+        choose_pivot(data, begin, *rest)
+        picks.append(data[begin])
+
+    driver.choose_pivot = recorded
+    try:
+        yield picks
+    finally:
+        driver.choose_pivot = choose_pivot
+
+
 def criterion_pivot_reuse(quick: bool = False) -> CriterionResult:
     """4: over seeded trials with k <= 8 distinct values, no value is
     chosen as pivot more than twice (heapsort subtrees make no pivots)."""
@@ -253,9 +273,9 @@ def criterion_pivot_reuse(quick: bool = False) -> CriterionResult:
         arr = [rng.randrange(k) for _ in range(n)]
         for label, cfg in KERNEL_CONFIGS:
             work = list(arr)
-            m = instrumented_sort(work, config=cfg, trace_pivots=True)
-            reuse = m.distinct_pivot_reuse or {}
-            worst = max(reuse.values(), default=0)
+            with _recording_pivots() as picks:
+                m = instrumented_sort(work, config=cfg)
+            worst = max(Counter(picks).values(), default=0)
             if worst > 2:
                 violations.append(f"trial {t}/{label}: value picked {worst} times")
             partitions = m.partition_right_calls + m.partition_left_calls

@@ -31,7 +31,7 @@ from typing import MutableSequence
 
 from .inline import inline_lt
 from .partition import (
-    BlockBuffers,
+    DEFAULT_BLOCK_SIZE,
     Ordering,
     block_partition_right,
     partition_left,
@@ -138,6 +138,7 @@ def choose_pivot(
             metrics.exchanges += 1
 
 
+@inline_lt
 def break_patterns(
     data: MutableSequence,
     begin: int,
@@ -155,16 +156,16 @@ def break_patterns(
     size = end - begin
     assert size >= MIN_BREAK_SIZE, "pattern breaking needs quartiles distinct from the ends"
     q = size // 4
-    pairs = 1
     data[begin], data[begin + q] = data[begin + q], data[begin]
     data[end - 1], data[end - 1 - q] = data[end - 1 - q], data[end - 1]
+    if metrics is not None:
+        metrics.exchanges += 2
     if size > NINTHER_THRESHOLD:
         for k in (1, 2):
             data[begin + k], data[begin + q + k] = data[begin + q + k], data[begin + k]
             data[end - 1 - k], data[end - 1 - q - k] = data[end - 1 - q - k], data[end - 1 - k]
-        pairs = 3
-    if metrics is not None:
-        metrics.exchanges += 2 * pairs
+            if metrics is not None:
+                metrics.exchanges += 2
 
 
 @inline_lt
@@ -173,7 +174,6 @@ def _sort_range(
     lt: Ordering,
     config: SortConfig,
     metrics=None,
-    pivot_trace=None,
     depth_limit: bool = False,
 ) -> None:
     """Sort all of ``data``: the one sort loop behind every entry point.
@@ -210,13 +210,6 @@ def _sort_range(
     use_left = config.use_partition_left
     use_break = config.use_break_patterns
     use_partial = config.use_partial_insertion
-    # One scratch pair per sort call, shared by every partition; ranges
-    # below the insertion threshold never partition at all.
-    buffers = (
-        BlockBuffers.for_block_size()
-        if use_block and len(data) >= INSERTION_THRESHOLD
-        else None
-    )
 
     begin = 0
     end = len(data)
@@ -239,8 +232,6 @@ def _sort_range(
                 metrics.heapsort_fallbacks += 1
         else:
             choose_pivot(data, begin, end, lt, use_break, metrics)
-            if pivot_trace is not None:
-                pivot_trace.append(data[begin])
 
             # A predecessor never greater than any element here equals
             # the pivot iff it is not less than it; equal elements then
@@ -253,7 +244,7 @@ def _sort_range(
             # The pivot's index in the range is the size of its left side.
             if use_block:
                 left_size, no_swaps = block_partition_right(
-                    data, begin, end, lt, buffers, metrics
+                    data, begin, end, lt, DEFAULT_BLOCK_SIZE, metrics
                 )
             else:
                 left_size, no_swaps = partition_right(data, begin, end, lt, metrics)

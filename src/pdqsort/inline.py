@@ -10,6 +10,9 @@ comparing kernel, and the sort loop) as::
     else:
         <body as written>
 
+A function that takes ``metrics`` but no ``lt`` (``break_patterns``)
+becomes ``if metrics is None: <uncounted body> else: <body as written>``.
+
 One rule makes the uncounted bodies: they drop every ``if metrics is not
 None ...`` statement without an ``else``, and nothing else. A source
 therefore bumps each counter under that guard, where the counted event
@@ -102,6 +105,9 @@ def inline_lt(kernel):
     for node in ast.walk(branch):
         ast.copy_location(node, found)
     branch.body[0].body, branch.body[0].orelse, branch.orelse = inline, uncounted, counted
+    # A function that takes no ``lt`` has no inline branch to choose.
+    if not any(arg.arg == "lt" for arg in found.args.args):
+        branch.body = uncounted
     kernel_def = copy.copy(found)
     kernel_def.decorator_list = []
     kernel_def.body = found.body[:start] + [branch]

@@ -8,9 +8,8 @@ the ordering wrapper; the driver and kernels only bump coarse counters.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass, fields
-from typing import MutableSequence, Optional
+from typing import MutableSequence
 
 from .driver import DEFAULT_CONFIG, SortConfig, _sort_range
 from .partition import Ordering
@@ -28,8 +27,6 @@ class Metrics:
     exchanges). ``max_depth`` is the most ranges the sort loop held
     pending at once: the depth that a recursion into the smaller side of
     each partition would reach, with the whole list at depth 0.
-    ``distinct_pivot_reuse`` maps pivot values to times chosen and is only
-    populated when pivot tracing was requested.
 
     A counted sort that raises keeps the counts of the work done before
     the raise: the sort loop and the kernels add to the counters as they
@@ -47,7 +44,6 @@ class Metrics:
     partial_insertion_attempts: int = 0
     partial_insertion_aborts: int = 0
     max_depth: int = 0
-    distinct_pivot_reuse: Optional[dict] = None
 
     def counter_values(self) -> tuple:
         """The CSV row fragment, in METRIC_FIELDS order."""
@@ -55,8 +51,8 @@ class Metrics:
 
 
 # Column order of the counter fragment in benchmark CSV rows: every
-# counter, in declaration order, without the pivot trace.
-METRIC_FIELDS = tuple(f.name for f in fields(Metrics) if f.name != "distinct_pivot_reuse")
+# counter, in declaration order.
+METRIC_FIELDS = tuple(f.name for f in fields(Metrics))
 
 
 def counting_ordering(base: Ordering, metrics: Metrics) -> Ordering:
@@ -73,19 +69,10 @@ def instrumented_sort(
     data: MutableSequence,
     lt: Ordering = operator.lt,
     config: SortConfig = DEFAULT_CONFIG,
-    trace_pivots: bool = False,
 ) -> Metrics:
-    """Sort ``data`` in place and return the accumulated :class:`Metrics`.
-
-    ``trace_pivots=True`` additionally records every chosen pivot value
-    (elements must be hashable) into ``distinct_pivot_reuse``; leave it
-    off when measuring, the trace is test machinery.
-    """
+    """Sort ``data`` in place and return the accumulated :class:`Metrics`."""
     metrics = Metrics()
-    trace = [] if trace_pivots else None
-    _sort_range(data, counting_ordering(lt, metrics), config, metrics, trace)
-    if trace is not None:
-        metrics.distinct_pivot_reuse = dict(Counter(trace))
+    _sort_range(data, counting_ordering(lt, metrics), config, metrics)
     return metrics
 
 

@@ -30,7 +30,6 @@ and ``operator.lt`` branches.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Any, Callable, MutableSequence
 
 from .inline import inline_lt
@@ -58,25 +57,6 @@ class PartitionResult(tuple):
     __slots__ = ()
     pivot_index = property(operator.itemgetter(0))
     no_swaps = property(operator.itemgetter(1))
-
-
-@dataclass
-class BlockBuffers:
-    """Caller-supplied scratch for block partitioning: two fixed-size
-    offset buffers, one per side."""
-
-    offsets_left: list = field(repr=False)
-    offsets_right: list = field(repr=False)
-
-    @classmethod
-    def for_block_size(cls, block_size: int = DEFAULT_BLOCK_SIZE) -> "BlockBuffers":
-        if block_size < 1:
-            raise ValueError("block size must be >= 1")
-        return cls([0] * block_size, [0] * block_size)
-
-    @property
-    def block_size(self) -> int:
-        return len(self.offsets_left)
 
 
 @inline_lt
@@ -212,7 +192,7 @@ def block_partition_right(
     begin: int,
     end: int,
     lt: Ordering,
-    buffers: BlockBuffers,
+    block: int,
     metrics=None,
 ) -> PartitionResult:
     """Block-based partition_right; identical contract, different moves.
@@ -222,11 +202,14 @@ def block_partition_right(
     one pairwise exchange each. Leftover offsets carry into the next
     round; the side that ran dry refills. A final reduced-size round
     handles the tail, and the drain loop moves any remaining one-sided
-    leftovers next to the boundary.
+    leftovers next to the boundary. Each call allocates its two offset
+    lists of ``block`` entries, as the reference declares its offset
+    arrays inside ``partition_right_branchless``.
     """
-    block = buffers.block_size
-    offs_l = buffers.offsets_left
-    offs_r = buffers.offsets_right
+    if block < 1:
+        raise ValueError("block size must be >= 1")
+    offs_l = [0] * block
+    offs_r = [0] * block
     pivot = data[begin]
 
     first = begin + 1

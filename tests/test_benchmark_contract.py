@@ -40,12 +40,11 @@ def test_every_layer_is_a_driver_global_and_a_package_attribute():
 def test_every_partition_kernel_returns_a_named_partition_result():
     # layers.py reads result.no_swaps of every result that is a
     # PartitionResult; a plain tuple would zero partition.no_swaps_ratio.
-    buffers = pdqsort.BlockBuffers.for_block_size()
     results = {
         "partition_right": pdqsort.partition_right([1, 0, 2], 0, 3, operator.lt),
         "partition_left": pdqsort.partition_left([0, 0, 2], 1, 3, operator.lt),
         "block_partition_right": pdqsort.block_partition_right(
-            [1, 0, 2], 0, 3, operator.lt, buffers
+            [1, 0, 2], 0, 3, operator.lt, pdqsort.partition.DEFAULT_BLOCK_SIZE
         ),
     }
     assert set(results) == set(LAYERS["partition"])

@@ -24,7 +24,6 @@ from collections import Counter
 import pytest
 
 from pdqsort import (
-    BlockBuffers,
     Metrics,
     block_partition_right,
     choose_pivot,
@@ -134,7 +133,7 @@ KERNELS = {
     "partition_left": (_min_first, lambda w, lt: partition_left(w, 0, len(w), lt)),
     "block_partition_right": (
         _pivot_first,
-        lambda w, lt: block_partition_right(w, 0, len(w), lt, BlockBuffers.for_block_size(4)),
+        lambda w, lt: block_partition_right(w, 0, len(w), lt, 4),
     ),
 }
 

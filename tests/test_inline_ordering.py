@@ -26,12 +26,12 @@ import pytest
 
 import pdqsort
 from pdqsort import (
-    BlockBuffers,
     DistributionSpec,
     Metrics,
     SortConfig,
     adversary_input,
     block_partition_right,
+    break_patterns,
     choose_pivot,
     generate,
     heapsort,
@@ -46,6 +46,7 @@ from pdqsort import (
 )
 from pdqsort.acceptance import _prepare_pivot, _toggle_configs
 from pdqsort.driver import _sort_range
+from pdqsort.partition import DEFAULT_BLOCK_SIZE
 
 
 def python_lt(a, b):
@@ -129,11 +130,11 @@ KERNELS = {
     "partition_left": (lambda arr: (equal_predecessor(arr), 1), partition_left),
     "block_partition_right/2": (
         lambda arr: (_prepare_pivot(arr), 0),
-        with_args(block_partition_right, BlockBuffers.for_block_size(2)),
+        with_args(block_partition_right, 2),
     ),
     "block_partition_right/64": (
         lambda arr: (_prepare_pivot(arr), 0),
-        with_args(block_partition_right, BlockBuffers.for_block_size()),
+        with_args(block_partition_right, DEFAULT_BLOCK_SIZE),
     ),
     "partial_insertion_sort/0": (whole, with_args(partial_insertion_sort, 0)),
     "partial_insertion_sort/8": (whole, with_args(partial_insertion_sort, 8)),
@@ -164,6 +165,7 @@ GENERATED = (
     block_partition_right,
     sort3,
     choose_pivot,
+    break_patterns,
     unguarded_insertion_sort,
     partial_insertion_sort,
     heapsort,

@@ -1,5 +1,6 @@
 import operator
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from pdqsort import (
     insertion_sort,
     instrumented_sort,
 )
+from pdqsort.acceptance import KERNEL_CONFIGS, _recording_pivots
 
 
 class TestCountingOrdering:
@@ -61,7 +63,6 @@ class TestMetrics:
         assert arr == sorted(arr)
         assert m.comparisons > 0
         assert m.partition_right_calls > 0
-        assert m.distinct_pivot_reuse is None
 
     def test_counted_sort_that_raises_keeps_its_counts(self):
         # The kernels bump the counters as the work is done, so a heapsort
@@ -83,15 +84,19 @@ class TestMetrics:
             heapsort(list(arr), 0, len(arr), cut_short, m)
         assert 0 < m.element_moves < full.element_moves
 
-    def test_pivot_trace(self):
-        rng = random.Random(33)
-        arr = [rng.randrange(4) for _ in range(400)]
-        m = instrumented_sort(arr, trace_pivots=True)
-        assert m.distinct_pivot_reuse
-        assert sum(m.distinct_pivot_reuse.values()) == (
-            m.partition_right_calls + m.partition_left_calls
-        )
-        assert max(m.distinct_pivot_reuse.values()) <= 2
+
+def test_pivot_recorder_sees_every_partition():
+    # Criterion 4 counts pivot reuse from what the recorder saw: one pick
+    # per partition, on either right kernel.
+    rng = random.Random(33)
+    arr = [rng.randrange(4) for _ in range(400)]
+    for label, config in KERNEL_CONFIGS:
+        work = list(arr)
+        with _recording_pivots() as picks:
+            m = instrumented_sort(work, config=config)
+        assert work == sorted(arr), label
+        assert len(picks) == m.partition_right_calls + m.partition_left_calls > 0, label
+        assert max(Counter(picks).values()) <= 2, label
 
 
 class TestAdversary:

@@ -11,8 +11,10 @@ inline ``<`` branch, which ``sort()`` runs), uncounted under a Python
 relation (whose calls add their own entries), and counted, given a
 ``Metrics``, under the Python relation (the branch ``instrumented_sort``
 runs). ``sort()`` itself, whose sort loop and kernels all run their
-inline branch, sorts a small ``uniform`` input and a ``dupsq`` input
-that reaches ``partition_left``.
+inline branch, sorts four 100-element inputs: ``uniform``, ``dupsq``,
+which reaches ``partition_left``, the adversary, which reaches the
+heapsort fallback, and ``desc``, which takes the optimistic partial
+insertion path.
 
 Backward jumps are swept from 3.11 on. 3.10 also checks at other
 instructions, which the sweep does not model. From 3.12 the jump that
@@ -42,6 +44,7 @@ import sys
 from pdqsort import (
     DistributionSpec,
     Metrics,
+    adversary_input,
     driver,
     generate,
     heapsort,
@@ -161,8 +164,10 @@ HEAPSORT_BRANCHES = {
 HEAPSORT_INPUT = random.Random(11).sample(range(300), 300)
 
 SORT_INPUTS = {
-    kind: generate(DistributionSpec(kind, 100, "int64", seed=4)) for kind in ("uniform", "dupsq")
+    kind: generate(DistributionSpec(kind, 100, "int64", seed=4))
+    for kind in ("uniform", "dupsq", "desc")
 }
+SORT_INPUTS["adversary"] = adversary_input(100)
 
 
 def traced(run, work, hook):
@@ -204,7 +209,10 @@ def test_heapsort_interrupted_at_any_point_keeps_permutation():
 
 
 def test_sort_interrupted_at_any_point_keeps_permutation():
-    assert instrumented_sort(list(SORT_INPUTS["dupsq"])).partition_left_calls > 0
+    counts = {kind: instrumented_sort(list(arr)) for kind, arr in SORT_INPUTS.items()}
+    assert counts["dupsq"].partition_left_calls > 0
+    assert counts["adversary"].heapsort_fallbacks > 0
+    assert counts["desc"].partial_insertion_attempts > 0
     for kind, arr in SORT_INPUTS.items():
         points, broken = sweep(sort, arr)
         assert not broken, f"{kind}: {len(broken)} of {points} points lost an element"

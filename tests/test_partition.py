@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdqsort import (
-    BlockBuffers,
     Metrics,
     block_partition_right,
     counting_ordering,
@@ -16,6 +15,7 @@ from pdqsort import (
     partition_right,
 )
 from pdqsort.acceptance import _prepare_pivot, _TracingList
+from pdqsort.partition import DEFAULT_BLOCK_SIZE
 
 
 def check_right_contract(before, after, res):
@@ -101,7 +101,7 @@ class TestPartitionLeft:
 class TestBlockPartitionRight:
     def test_trivial_matches_contract(self):
         work = [1, 0, 2]
-        res = block_partition_right(work, 0, 3, operator.lt, BlockBuffers.for_block_size())
+        res = block_partition_right(work, 0, 3, operator.lt, DEFAULT_BLOCK_SIZE)
         assert res.pivot_index == 1
 
     def test_exhaustive_vs_scalar(self):
@@ -112,9 +112,7 @@ class TestBlockPartitionRight:
                 res_s = partition_right(scalar, 0, length, operator.lt)
                 for block_size in (1, 2, 3, 64):
                     blocked = list(prepared)
-                    res_b = block_partition_right(
-                        blocked, 0, length, operator.lt, BlockBuffers.for_block_size(block_size)
-                    )
+                    res_b = block_partition_right(blocked, 0, length, operator.lt, block_size)
                     check_right_contract(prepared, blocked, res_b)
                     assert res_b.pivot_index == res_s.pivot_index
                     assert sorted(blocked[: res_b.pivot_index]) == sorted(
@@ -132,12 +130,7 @@ class TestBlockPartitionRight:
         m_block = Metrics()
         blocked = list(arr)
         res = block_partition_right(
-            blocked,
-            0,
-            300,
-            counting_ordering(operator.lt, m_block),
-            BlockBuffers.for_block_size(),
-            m_block,
+            blocked, 0, 300, counting_ordering(operator.lt, m_block), DEFAULT_BLOCK_SIZE, m_block
         )
         check_right_contract(arr, blocked, res)
         assert m_block.comparisons == 299
@@ -153,7 +146,7 @@ class TestBlockPartitionRight:
             arr = _prepare_pivot([rng.randint(0, 6) for _ in range(n)])
             work = list(arr)
             m = Metrics()
-            res = block_partition_right(work, 0, n, operator.lt, BlockBuffers.for_block_size(8), m)
+            res = block_partition_right(work, 0, n, operator.lt, 8, m)
             if res.no_swaps:
                 assert m.exchanges == 0
                 undone = list(work)
@@ -163,8 +156,11 @@ class TestBlockPartitionRight:
                 assert m.exchanges > 0
 
     def test_buffer_validation(self):
+        # A block size of 0 would classify nothing and loop forever.
+        work = [1, 0, 2]
         with pytest.raises(ValueError):
-            BlockBuffers.for_block_size(0)
+            block_partition_right(work, 0, 3, operator.lt, 0)
+        assert work == [1, 0, 2]
 
 
 def test_no_out_of_bounds_access_exhaustive():
@@ -172,9 +168,7 @@ def test_no_out_of_bounds_access_exhaustive():
         for arr in itertools.product(range(3), repeat=length):
             prepared = _prepare_pivot(arr)
             partition_right(_TracingList(prepared), 0, length, operator.lt)
-            block_partition_right(
-                _TracingList(prepared), 0, length, operator.lt, BlockBuffers.for_block_size(2)
-            )
+            block_partition_right(_TracingList(prepared), 0, length, operator.lt, 2)
             if arr[0] == min(arr):
                 partition_left(_TracingList(arr), 0, length, operator.lt)
 
@@ -186,9 +180,7 @@ def test_block_scalar_equivalence_property(arr, block_size):
     scalar = list(prepared)
     res_s = partition_right(scalar, 0, len(scalar), operator.lt)
     blocked = list(prepared)
-    res_b = block_partition_right(
-        blocked, 0, len(blocked), operator.lt, BlockBuffers.for_block_size(block_size)
-    )
+    res_b = block_partition_right(blocked, 0, len(blocked), operator.lt, block_size)
     check_right_contract(prepared, blocked, res_b)
     check_right_contract(prepared, scalar, res_s)
     assert res_b.pivot_index == res_s.pivot_index
