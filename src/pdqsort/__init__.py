@@ -35,6 +35,7 @@ from .driver import (
     introsort_baseline,
     sort,
     sort_with,
+    unguarded_insertion_sort,
 )
 from .instrumentation import (
     METRIC_FIELDS,
@@ -54,7 +55,6 @@ from .small_sorts import (
     insertion_sort,
     partial_insertion_sort,
     sort3,
-    unguarded_insertion_sort,
 )
 
 __version__ = "0.1.0"

