@@ -158,16 +158,11 @@ def break_patterns(
     size = end - begin
     assert size >= MIN_BREAK_SIZE, "pattern breaking needs quartiles distinct from the ends"
     q = size // 4
-    data[begin], data[begin + q] = data[begin + q], data[begin]
-    data[end - 1], data[end - 1 - q] = data[end - 1 - q], data[end - 1]
-    if metrics is not None:
-        metrics.exchanges += 2
-    if size > NINTHER_THRESHOLD:
-        for k in (1, 2):
-            data[begin + k], data[begin + q + k] = data[begin + q + k], data[begin + k]
-            data[end - 1 - k], data[end - 1 - q - k] = data[end - 1 - q - k], data[end - 1 - k]
-            if metrics is not None:
-                metrics.exchanges += 2
+    for k in range(3 if size > NINTHER_THRESHOLD else 1):
+        data[begin + k], data[begin + q + k] = data[begin + q + k], data[begin + k]
+        data[end - 1 - k], data[end - 1 - q - k] = data[end - 1 - q - k], data[end - 1 - k]
+        if metrics is not None:
+            metrics.exchanges += 2
 
 
 @inline_lt
@@ -269,19 +264,11 @@ def _sort_range(
                 # The optimistic path: a swapless partition of a range
                 # that may be nearly sorted. The right side is tried
                 # only if the left one finished.
-                if metrics is not None:
-                    metrics.partial_insertion_attempts += 1
                 sides_sorted = partial_insertion_sort(
                     data, begin, pivot_pos, lt, PARTIAL_INSERTION_BUDGET, metrics
+                ) and partial_insertion_sort(
+                    data, pivot_pos + 1, end, lt, PARTIAL_INSERTION_BUDGET, metrics
                 )
-                if sides_sorted:
-                    if metrics is not None:
-                        metrics.partial_insertion_attempts += 1
-                    sides_sorted = partial_insertion_sort(
-                        data, pivot_pos + 1, end, lt, PARTIAL_INSERTION_BUDGET, metrics
-                    )
-                if metrics is not None:
-                    metrics.partial_insertion_aborts += not sides_sorted
 
             if not sides_sorted:
                 # The larger side waits, with its own copy of the

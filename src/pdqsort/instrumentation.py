@@ -28,6 +28,15 @@ class Metrics:
     pending at once: the depth that a recursion into the smaller side of
     each partition would reach, with the whole list at depth 0.
 
+    Each kernel counts its own calls: ``partition_right`` and
+    ``block_partition_right`` bump ``partition_right_calls``,
+    ``partition_left`` bumps ``partition_left_calls``, and
+    ``partial_insertion_sort`` bumps ``partial_insertion_attempts`` and
+    ``partial_insertion_aborts``. The sort loop bumps only the counters
+    of its own decisions: ``bad_partitions``, ``heapsort_fallbacks`` (as
+    ``heapsort`` also runs alone, it does not count itself) and
+    ``max_depth``.
+
     A counted sort that raises keeps the counts of the work done before
     the raise: the sort loop and the kernels add to the counters as they
     go, not when they return. Only the step that the raise cuts short (an

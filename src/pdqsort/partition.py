@@ -9,7 +9,7 @@ Three primitives over ``data[begin:end)`` with the pivot at ``data[begin]``:
   left partition; called when the range's predecessor equals the pivot,
   so its left partition needs no further recursion.
 - :func:`block_partition_right`: same contract as partition_right, but
-  misplaced elements are located with unconditional offset stores and
+  misplaced elements are located with unconditional position stores and
   predicate-incremented counters, then exchanged pairwise in blocks.
 
 All kernels assume the pivot was placed by a median-of-(at-least-)3
@@ -198,13 +198,15 @@ def block_partition_right(
     """Block-based partition_right; identical contract, different moves.
 
     Each round classifies up to one block per side with unconditional
-    offset stores, then resolves min(num_l, num_r) misplaced pairs with
-    one pairwise exchange each. Leftover offsets carry into the next
+    position stores, then resolves min(num_l, num_r) misplaced pairs with
+    one pairwise exchange each. Leftover positions carry into the next
     round; the side that ran dry refills. A final reduced-size round
     handles the tail, and the drain loop moves any remaining one-sided
-    leftovers next to the boundary. Each call allocates its two offset
+    leftovers next to the boundary. Each call allocates its two position
     lists of ``block`` entries, as the reference declares its offset
-    arrays inside ``partition_right_branchless``.
+    arrays inside ``partition_right_branchless``; the reference stores
+    one-byte offsets from a block base so that a buffer fits in cache
+    lines, while a Python list slot holds an int either way.
     """
     if block < 1:
         raise ValueError("block size must be >= 1")
@@ -216,36 +218,25 @@ def block_partition_right(
     last = end
     num_l = num_r = 0
     start_l = start_r = 0
-    base_l = first
-    base_r = last
     swaps = 0
 
     while first < last:
+        # At most one side has leftovers, and only an empty side refills.
         unknown = last - first
-        if num_l == 0:
-            if num_r == 0:
-                take_l = min(block, unknown // 2)
-                take_r = min(block, unknown - take_l)
-            else:
-                take_l = min(block, unknown)
-                take_r = 0
-        else:
-            take_l = 0
-            take_r = min(block, unknown)
+        take_l = 0 if num_l else min(block, unknown if num_r else unknown // 2)
+        take_r = 0 if num_r else min(block, unknown - take_l)
 
         if take_l:
-            base_l = first
             start_l = 0
-            for k in range(take_l):
+            for k in range(first, first + take_l):
                 offs_l[num_l] = k
-                num_l += not lt(data[first + k], pivot)
+                num_l += not lt(data[k], pivot)
             first += take_l
         if take_r:
-            base_r = last
             start_r = 0
-            for k in range(take_r):
-                offs_r[num_r] = k + 1
-                num_r += lt(data[last - 1 - k], pivot)
+            for k in range(last - 1, last - 1 - take_r, -1):
+                offs_r[num_r] = k
+                num_r += lt(data[k], pivot)
             last -= take_r
 
         num = num_l if num_l < num_r else num_r
@@ -258,8 +249,8 @@ def block_partition_right(
             # save a store per pair but shears that mirror by one slot per
             # round, which destroys the linear behaviour.
             for k in range(num):
-                a = base_l + offs_l[start_l + k]
-                b = base_r - offs_r[start_r + k]
+                a = offs_l[start_l + k]
+                b = offs_r[start_r + k]
                 data[a], data[b] = data[b], data[a]
             swaps += num
             num_l -= num
@@ -268,28 +259,27 @@ def block_partition_right(
             start_r += num
 
     # Drain the surviving buffer (at most one side is non-empty, as every
-    # round subtracts min(num_l, num_r) from both): walk its offsets from
+    # round subtracts min(num_l, num_r) from both): walk its positions from
     # the boundary side inward, swapping each wrong-side element next to
     # the boundary. Coincident positions mean the element is already in
     # place, so nothing is exchanged.
     if num_l:
         while num_l:
             num_l -= 1
-            a = base_l + offs_l[start_l + num_l]
+            a = offs_l[start_l + num_l]
             last -= 1
             if a != last:
                 data[a], data[last] = data[last], data[a]
                 swaps += 1
         first = last
-    elif num_r:
+    else:
         while num_r:
             num_r -= 1
-            b = base_r - offs_r[start_r + num_r]
+            b = offs_r[start_r + num_r]
             if b != first:
                 data[b], data[first] = data[first], data[b]
                 swaps += 1
             first += 1
-        last = first
 
     pivot_pos = first - 1
     data[begin] = data[pivot_pos]

@@ -106,15 +106,21 @@ def partial_insertion_sort(
     the shift distance. Returns True iff the range is fully sorted on
     return; on False the range is left as a valid permutation with a
     sorted prefix, and exactly ``budget + 1`` corrections were counted
-    when the abort happened (the last one is not performed).
+    when the abort happened (the last one is not performed). A call
+    that passes the budget check adds one to ``partial_insertion_attempts``,
+    and a call that returns False one to ``partial_insertion_aborts``.
     """
     if budget < 0:
         raise ValueError("correction budget must be non-negative")
+    if metrics is not None:
+        metrics.partial_insertion_attempts += 1
     corrections = 0
     for i in range(begin + 1, end):
         if lt(data[i], data[i - 1]):
             corrections += 1
             if corrections > budget:
+                if metrics is not None:
+                    metrics.partial_insertion_aborts += 1
                 return False
             v = data[i]
             j = i - 1
@@ -158,8 +164,6 @@ def heapsort(
     ``element_moves`` counts each lift, hole fill and drop.
     """
     n = end - begin
-    if n < 2:
-        return
     # Absolute indices: the children of i are 2*i + skew and 2*i + skew + 1,
     # its parent is (i - skew) // 2.
     skew = 1 - begin

@@ -203,9 +203,7 @@ def test_heapsort_sweep_raises_in_descent_and_ascent(inline):
 
 
 @pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
-def test_unguarded_insertion_sort_sweep_raises_at_every_comparison(inline):
-    # unguarded_insertion_sort is a second name of insertion_sort, the
-    # one leaf kernel, which the sweep runs.
+def test_insertion_sort_sweep_raises_at_every_comparison(inline):
     # The prefix skip and the pair's order hold no lifted element; the
     # larger-element scan holds two holes and the smaller-element scan
     # one. The sweeps must raise at each, so each is shown to leave a

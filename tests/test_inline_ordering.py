@@ -42,7 +42,6 @@ from pdqsort import (
     sort,
     sort3,
     sort_with,
-    unguarded_insertion_sort,
 )
 from pdqsort.acceptance import _prepare_pivot, _toggle_configs
 from pdqsort.driver import _sort_range
@@ -98,11 +97,6 @@ def test_partition_right_inline_matches_relation():
         assert_alike(*four_ways(partition_right, _prepare_pivot(arr), 0), arr)
 
 
-def test_unguarded_insertion_sort_inline_matches_relation():
-    for arr in itertools.chain(criterion2_arrays(), random_arrays(52)):
-        assert_alike(*four_ways(unguarded_insertion_sort, [min(arr)] + arr, 1), arr)
-
-
 def equal_predecessor(arr):
     """``arr`` with a least element first as the pivot, behind a
     predecessor equal to it: the range ``partition_left`` is handed."""
@@ -139,6 +133,7 @@ KERNELS = {
     "partial_insertion_sort/0": (whole, with_args(partial_insertion_sort, 0)),
     "partial_insertion_sort/8": (whole, with_args(partial_insertion_sort, 8)),
     "insertion_sort": (whole, insertion_sort),
+    "insertion_sort/behind_predecessor": (lambda arr: ([min(arr)] + arr, 1), insertion_sort),
     "heapsort": (whole, heapsort),
     "sort3": (whole, median_of_3),
     "choose_pivot": (whole, with_args(choose_pivot, True)),

@@ -68,6 +68,20 @@ def pair_insertion_oracle(arr):
     return comparisons, moves
 
 
+class _ReadFence(list):
+    """Fails the test if any index below ``fence`` is read or written."""
+
+    fence = 0
+
+    def __getitem__(self, idx):
+        assert idx >= self.fence, f"read below predecessor: {idx}"
+        return list.__getitem__(self, idx)
+
+    def __setitem__(self, idx, value):
+        assert idx >= self.fence, f"write below predecessor: {idx}"
+        list.__setitem__(self, idx, value)
+
+
 class TestInsertionSort:
     def test_empty_and_single(self):
         for arr in ([], [3]):
@@ -94,85 +108,40 @@ class TestInsertionSort:
         assert m.element_moves == 12
 
     def test_matches_oracle_counts_random(self):
+        # Each list also runs behind a predecessor greater than all of it,
+        # which stops no scan: the kernel reads no index below ``begin``.
         rng = random.Random(5)
         for _ in range(100):
             arr = [rng.randint(0, 9) for _ in range(rng.randint(0, 30))]
             comparisons, moves = pair_insertion_oracle(arr)
-            work = list(arr)
-            m = Metrics()
-            insertion_sort(work, 0, len(work), counting_ordering(operator.lt, m), m)
-            assert work == sorted(arr)
-            assert (m.comparisons, m.element_moves) == (comparisons, moves)
+            for before in ([], [10]):
+                work = _ReadFence(before + arr)
+                work.fence = len(before)
+                m = Metrics()
+                insertion_sort(work, len(before), len(work), counting_ordering(operator.lt, m), m)
+                assert list(work) == before + sorted(arr)
+                assert (m.comparisons, m.element_moves) == (comparisons, moves)
 
     def test_subrange(self):
-        work = [9, 3, 1, 2, 0]
-        insertion_sort(work, 1, 4, operator.lt)
-        assert work == [9, 1, 2, 3, 0]
-
-    @given(st.lists(st.integers(-50, 50), max_size=60))
-    def test_sorts_any_list(self, arr):
-        work = list(arr)
-        insertion_sort(work, 0, len(work), operator.lt)
-        assert work == sorted(arr)
-
-
-class _ReadFence(list):
-    """Fails the test if any index below ``fence`` is read or written."""
-
-    fence = 0
-
-    def __getitem__(self, idx):
-        assert idx >= self.fence, f"read below predecessor: {idx}"
-        return list.__getitem__(self, idx)
-
-    def __setitem__(self, idx, value):
-        assert idx >= self.fence, f"write below predecessor: {idx}"
-        list.__setitem__(self, idx, value)
-
-
-class TestUnguardedInsertionSort:
-    """The leaf kernel under its second name, on ranges behind a
-    predecessor, which it neither reads nor needs."""
-
-    def test_is_the_leaf_kernel(self):
-        assert unguarded_insertion_sort is insertion_sort
-
-    def test_basic(self):
-        work = [0, 2, 1]
-        unguarded_insertion_sort(work, 1, 3, operator.lt)
-        assert work == [0, 1, 2]
-
-    def test_all_equal_sentinel(self):
-        work = [3, 3, 3, 3]
-        unguarded_insertion_sort(work, 1, 4, operator.lt)
-        assert work == [3, 3, 3, 3]
-
-    def test_derived_example(self):
-        work = [1, 9, 7, 8, 2]
-        unguarded_insertion_sort(work, 1, 5, operator.lt)
-        assert work == [1] + sorted([9, 7, 8, 2])
-
-    def test_never_reads_below_predecessor(self):
-        # Nor the predecessor itself: a predecessor greater than every
-        # element of the range stops no scan and is never read.
-        rng = random.Random(9)
-        for _ in range(100):
-            n = rng.randint(0, 25)
-            arr = [rng.randint(1, 9) for _ in range(n)]
-            fenced = _ReadFence([10] + arr)
-            fenced.fence = 1
-            unguarded_insertion_sort(fenced, 1, n + 1, operator.lt)
-            assert list(fenced) == [10] + sorted(arr)
+        for arr, begin, end, expected in (
+            ([9, 3, 1, 2, 0], 1, 4, [9, 1, 2, 3, 0]),
+            ([0, 2, 1], 1, 3, [0, 1, 2]),
+            ([3, 3, 3, 3], 1, 4, [3, 3, 3, 3]),
+            ([1, 9, 7, 8, 2], 1, 5, [1, 2, 7, 8, 9]),
+        ):
+            work = list(arr)
+            insertion_sort(work, begin, end, operator.lt)
+            assert work == expected
 
     def test_pair_insertion_saves_comparisons(self):
         # A one-at-a-time insertion sort makes up to inversions + k - 1
         # comparisons on k elements. Inserting two per pass scans the
         # prefix above the larger one once for both.
         def comparisons(arr):
-            work = [min(arr)] + arr
+            work = list(arr)
             m = Metrics()
-            unguarded_insertion_sort(work, 1, len(work), counting_ordering(operator.lt, m), m)
-            assert work == [min(arr)] + sorted(arr)
+            insertion_sort(work, 0, len(work), counting_ordering(operator.lt, m), m)
+            assert work == sorted(arr)
             return m.comparisons
 
         rng = random.Random(10)
@@ -185,6 +154,19 @@ class TestUnguardedInsertionSort:
                 one_at_a_time += inversions + k - 1
                 made += comparisons(arr)
         assert made <= 0.9 * one_at_a_time
+
+    @given(st.lists(st.integers(-50, 50), max_size=60))
+    def test_sorts_any_list(self, arr):
+        work = list(arr)
+        insertion_sort(work, 0, len(work), operator.lt)
+        assert work == sorted(arr)
+
+
+class TestUnguardedInsertionSort:
+    """The leaf kernel's second name, which the benchmark still wraps."""
+
+    def test_is_the_leaf_kernel(self):
+        assert unguarded_insertion_sort is insertion_sort
 
 
 class TestPartialInsertionSort:
@@ -216,6 +198,16 @@ class TestPartialInsertionSort:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             partial_insertion_sort([1], 0, 1, operator.lt, -1)
+
+    def test_counts_its_attempts_and_aborts(self):
+        for arr, counts in (([1, 2, 3, 4], (1, 0)), (list(range(63, -1, -1)), (1, 1))):
+            m = Metrics()
+            partial_insertion_sort(arr, 0, len(arr), operator.lt, 8, m)
+            assert (m.partial_insertion_attempts, m.partial_insertion_aborts) == counts
+        m = Metrics()
+        with pytest.raises(ValueError):
+            partial_insertion_sort([1], 0, 1, operator.lt, -1, m)
+        assert (m.partial_insertion_attempts, m.partial_insertion_aborts) == (0, 0)
 
     @given(st.lists(st.integers(0, 20), max_size=50), st.integers(0, 12))
     @settings(max_examples=200)
