@@ -471,10 +471,10 @@ def criterion_performance_notes(quick: bool = False) -> CriterionResult:
     """
     n = 1 << 18 if not quick else 1 << 14
     rounds = 5
-    spec = DistributionSpec("uniform", n, "int64", seed=99)
+    original = generate(DistributionSpec("uniform", n, "int64", seed=99))
 
     def timed(algo):
-        values = generate(spec)
+        values = original.copy()
         t0 = time.perf_counter()
         ALGORITHMS[algo](values, operator.lt, None)
         return time.perf_counter() - t0

@@ -10,7 +10,7 @@ from pdqsort import (
     array_digest,
     generate,
 )
-from pdqsort.datagen import _base_values, write_array
+from pdqsort.datagen import _GOLDEN, _MASK64, SplitMix64, _base_values, write_array
 
 # Frozen from this implementation: any change to the value formulas, the
 # shuffle stream, or the encodings must show up here.
@@ -30,6 +30,24 @@ GOLDEN_DIGESTS = {
     ("uniform", 257, "str", 42): "01995e2aeb07db1c0d485b6d1ab1fc38e96f3b3d05d4553731232fbedd09d31b",
     ("mod8", 257, "bigstr", 42): "0265aa474181e207001db5adb15efb54d49759e9860e861ce024300e2db658f5",
     ("uniform", 1000, "int64", 43): "ecf0d5e6ac388a5b129808c0a751ea1bfa6cca69742e7737783377ab4559a7ad",
+    # Frozen from the one-draw-at-a-time shuffle, at sizes that span more than
+    # one chunk of SplitMix64.draws: just past one and two chunks of 4096
+    # draws, and the benchmark's n.
+    ("uniform", 4097, "int64", 42): "809c9ff092d5621d5c3bc7da3786336b98a36ba99fca6977ca460363e321d3fd",
+    ("dupsq", 4097, "int64", 42): "6bd3d2840dc2d30b9f22707202baf58d18f409e0a2ccdb5b9a1e2765262fb740",
+    ("mod8", 4097, "int64", 42): "418b29e71fcf3c1c02189508957862ffb6b7e3f0f31f31a0a687ed42e4fcb9fd",
+    ("sort90", 4097, "int64", 42): "293fc18300b0142114f35e117b2e61e7368ea0427f0075fa96ce74b6e33416a7",
+    ("sort99", 4097, "int64", 42): "8ed0e9ca81bb9695039c47b1013f2f9b322daa19b909a4e42badab436e3ae00a",
+    ("uniform", 8193, "int64", 42): "b422ee8ebffa8e0848913072e7c05d4cc157774163abaaba9ec90012dd10a65e",
+    ("dupsq", 8193, "int64", 42): "49821beaaf8188d573bb158a7085a4b818d7551c9c89394975c2151c622089cf",
+    ("mod8", 8193, "int64", 42): "91ef49371d38a39382e8c6832daa1c68876b034fb7b8ae6f0a7ce596f84bc7cc",
+    ("sort90", 8193, "int64", 42): "631d44cbd826958952c0a7769d4979b1cb6c32c23d69eeb6232f54fa9045e6ff",
+    ("sort99", 8193, "int64", 42): "a8955564bb6dcd2008a8b7ad07fec89e78109152429150812a29263f8857588a",
+    ("uniform", 65536, "int64", 42): "8f0bb04b7c483a5159cf484f024ba292857ba8aaded7e7db6865e14474c2e9f3",
+    ("dupsq", 65536, "int64", 42): "c965d675ce86d1429ad451b681bba49c054c1124352ff034746dfe5fc8278df1",
+    ("mod8", 65536, "int64", 42): "820e867a1c54a38a99d018c1e9c17118afe34c739bedcfc8fdaf76f4e76281b1",
+    ("sort90", 65536, "int64", 42): "15afef674614f04fa4a5fa2e3e57379b178ee33099cf55a444c9b438df4aad14",
+    ("sort99", 65536, "int64", 42): "4fd13c64c07ef220580ceb48735c8d52312ac3795b4867491deb0a8475d6f253",
 }
 
 
@@ -74,6 +92,22 @@ class TestBaseValues:
     def test_asc_desc(self):
         assert _base_values("asc", 4) == [0, 1, 2, 3]
         assert _base_values("desc", 4) == [3, 2, 1, 0]
+
+
+class TestSplitMix64Draws:
+    # The golden step is about 0.62 * 2**64, so the states of every chunk
+    # wrap past 2**64 again and again; from this state, the 100th draw's
+    # state wraps to exactly 0.
+    WRAPPING_STATE = (-100 * _GOLDEN) & _MASK64
+
+    @pytest.mark.parametrize("state", [0, _MASK64, WRAPPING_STATE])
+    @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8195])
+    def test_draws_match_next(self, state, count):
+        scalar = SplitMix64(state)
+        expected = [scalar.next() for _ in range(count)]
+        batched = SplitMix64(state)
+        assert batched.draws(count) == expected
+        assert batched.state == scalar.state
 
 
 class TestGenerate:

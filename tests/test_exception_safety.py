@@ -36,7 +36,6 @@ from pdqsort import (
     partition_right,
     small_sorts,
     sort_with,
-    unguarded_insertion_sort,
 )
 from pdqsort.acceptance import _toggle_configs
 
@@ -121,9 +120,9 @@ def _min_first(arr):
 # name -> (input preparation, kernel call under lt)
 KERNELS = {
     "insertion_sort": (list, lambda w, lt: insertion_sort(w, 0, len(w), lt)),
-    "unguarded_insertion_sort": (
+    "insertion_sort_begin_1": (
         _min_first,
-        lambda w, lt: unguarded_insertion_sort(w, 1, len(w), lt),
+        lambda w, lt: insertion_sort(w, 1, len(w), lt),
     ),
     "partial_insertion_sort": (
         list,
