@@ -10,20 +10,20 @@ and only records measured ratios.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import operator
+import os
 import random
 import statistics
 import time
+import traceback
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 from . import driver
-from .bench import ALGORITHMS, TIMING_COLUMNS, slowdown_table
+from .bench import ALGORITHMS, BLOCK_CONFIG, counter_rows, slowdown_table
 from .datagen import DISTRIBUTION_KINDS, DistributionSpec, SplitMix64, generate
 from .driver import DEFAULT_CONFIG, SortConfig, sort_with
 from .instrumentation import Metrics, adversary_input, counting_ordering, instrumented_sort
@@ -34,10 +34,7 @@ TOGGLE_FIELDS = tuple(f.name for f in fields(SortConfig))
 
 # The two partition kernels a gate runs over: the default scalar one and
 # the block ablation.
-KERNEL_CONFIGS = (
-    ("scalar", DEFAULT_CONFIG),
-    ("block", replace(DEFAULT_CONFIG, use_block_partition=True)),
-)
+KERNEL_CONFIGS = (("scalar", DEFAULT_CONFIG), ("block", BLOCK_CONFIG))
 
 
 @dataclass
@@ -72,33 +69,27 @@ def criterion_correctness_sweep(quick: bool = False) -> CriterionResult:
     and seeded random arrays, under every toggle combination."""
     t0 = time.perf_counter()
     sizes = list(range(0, 65)) + ([1000, 4096] if not quick else [256])
+
+    def inputs():
+        # (key, array): the distribution matrix, then seeded random arrays.
+        for kind, etype, n in itertools.product(DISTRIBUTION_KINDS, ("int64", "str"), sizes):
+            yield (kind, etype, n), generate(DistributionSpec(kind, n, etype, seed=0xACCE55))
+        rng = random.Random(0x5EED)
+        for t in range(1000 if not quick else 200):
+            n = rng.randint(0, 64)
+            yield ("random", t, n), [rng.randint(-8, 8) for _ in range(n)]
+
     configs = _toggle_configs()
     sorts = 0
     failures = []
-    for kind in DISTRIBUTION_KINDS:
-        for etype in ("int64", "str"):
-            for n in sizes:
-                arr = generate(DistributionSpec(kind, n, etype, seed=0xACCE55))
-                expected = sorted(arr)
-                for cfg in configs:
-                    work = list(arr)
-                    sort_with(work, operator.lt, cfg)
-                    sorts += 1
-                    if work != expected:
-                        failures.append((kind, etype, n, cfg))
-                        break
-    rng = random.Random(0x5EED)
-    trials = 1000 if not quick else 200
-    for t in range(trials):
-        n = rng.randint(0, 64)
-        arr = [rng.randint(-8, 8) for _ in range(n)]
+    for key, arr in inputs():
         expected = sorted(arr)
         for cfg in configs:
             work = list(arr)
             sort_with(work, operator.lt, cfg)
             sorts += 1
             if work != expected:
-                failures.append(("random", t, n, cfg))
+                failures.append((*key, cfg))
                 break
     dt = time.perf_counter() - t0
     details = f"{sorts} sorts, {len(failures)} failures, {dt:.1f}s"
@@ -109,16 +100,16 @@ def criterion_correctness_sweep(quick: bool = False) -> CriterionResult:
 
 class _TracingList(list):
     """List whose element accesses must stay in bounds; a negative index
-    (silent wraparound on a plain list) fails immediately."""
+    (silent wraparound on a plain list) raises IndexError too."""
 
     def __getitem__(self, idx):
-        if isinstance(idx, int):
-            assert 0 <= idx < len(self), f"read out of bounds: {idx}"
+        if isinstance(idx, int) and not 0 <= idx < len(self):
+            raise IndexError(f"read out of bounds: {idx}")
         return super().__getitem__(idx)
 
     def __setitem__(self, idx, value):
-        if isinstance(idx, int):
-            assert 0 <= idx < len(self), f"write out of bounds: {idx}"
+        if isinstance(idx, int) and not 0 <= idx < len(self):
+            raise IndexError(f"write out of bounds: {idx}")
         super().__setitem__(idx, value)
 
 
@@ -136,12 +127,70 @@ def _prepare_pivot(arr):
     return work
 
 
-def _check_right_contract(arr_before, work, res, pv):
-    r = res.pivot_index
-    assert work[r] == pv, "pivot value not at reported index"
-    assert all(x < pv for x in work[:r]), "left partition not strictly below pivot"
-    assert all(x >= pv for x in work[r + 1 :]), "right partition below pivot"
-    assert Counter(work) == Counter(arr_before), "not a permutation"
+def _first_failed(*checks):
+    """The message of the first ``(passed, message)`` check that failed."""
+    return next((message for passed, message in checks if not passed), None)
+
+
+def _right_contract_problem(before, work, res):
+    """How a right kernel's output ``work`` breaks its contract, or None."""
+    r, pv = res.pivot_index, before[0]
+    # A swapless report must mean the input was untouched apart from pivot
+    # placement; undoing it re-partitions for free.
+    undone = list(work)
+    undone[0], undone[r] = work[r], work[0]
+    return _first_failed(
+        (work[r] == pv, "pivot value not at reported index"),
+        (all(x < pv for x in work[:r]), "left partition not strictly below pivot"),
+        (all(x >= pv for x in work[r + 1 :]), "right partition below pivot"),
+        (Counter(work) == Counter(before), "not a permutation"),
+        (undone == before or not res.no_swaps, "no_swaps despite rearrangement"),
+    )
+
+
+def _oracle_problem(arr):
+    """The first check that a partition kernel fails on ``arr``, or None.
+
+    Each right kernel is held to the whole contract, which fixes the pivot
+    index and each side's multiset: the block kernel's result then agrees
+    with the scalar kernel's without comparing the two."""
+    length = len(arr)
+    prepared = _prepare_pivot(arr)
+    scalar = _TracingList(prepared)
+    m = Metrics()
+    res = partition_right(scalar, 0, length, counting_ordering(operator.lt, m), m)
+    rerun = Metrics()
+    if res.no_swaps:
+        partition_right(list(prepared), 0, length, operator.lt, rerun)
+    problem = _right_contract_problem(prepared, scalar, res) or _first_failed(
+        (length - 1 <= m.comparisons <= length + 1, "scan count off"),
+        (rerun.exchanges == 0, "re-partition of a swapless input exchanged elements"),
+    )
+    if problem:
+        return f"partition_right: {problem}"
+    for block in (DEFAULT_BLOCK_SIZE, 2):
+        blocked = _TracingList(prepared)
+        m = Metrics()
+        res = block_partition_right(blocked, 0, length, counting_ordering(operator.lt, m), block, m)
+        problem = _right_contract_problem(prepared, blocked, res) or _first_failed(
+            (m.comparisons == length - 1, "must classify each element once"),
+        )
+        if problem:
+            return f"block_partition_right (block {block}): {problem}"
+    lo = min(arr)
+    if arr[0] == lo:
+        left = _TracingList(arr)
+        res = partition_left(left, 0, length, operator.lt)
+        r = res.pivot_index
+        problem = _first_failed(
+            (all(x == lo for x in left[: r + 1]), "left partition not all equal"),
+            (all(x > lo for x in left[r + 1 :]), "right partition not above pivot"),
+            (Counter(left) == Counter(arr), "not a permutation"),
+            (not res.no_swaps, "reported no_swaps"),
+        )
+        if problem:
+            return f"partition_left: {problem}"
+    return None
 
 
 def criterion_partition_oracle(quick: bool = False) -> CriterionResult:
@@ -149,67 +198,44 @@ def criterion_partition_oracle(quick: bool = False) -> CriterionResult:
     the alphabet {0,1,2}, for both right kernels and partition_left."""
     t0 = time.perf_counter()
     checked = 0
+    problems = []
     max_len = 6 if quick else 7
     for length in range(2, max_len + 1):
         for arr in itertools.product(range(3), repeat=length):
-            prepared = _prepare_pivot(arr)
-            pv = prepared[0]
-
-            scalar = _TracingList(prepared)
-            m_scalar = Metrics()
-            res_scalar = partition_right(
-                scalar, 0, length, counting_ordering(operator.lt, m_scalar), m_scalar
-            )
-            _check_right_contract(prepared, scalar, res_scalar, pv)
-            assert length - 1 <= m_scalar.comparisons <= length + 1, "scan count off"
-
-            for block in (DEFAULT_BLOCK_SIZE, 2):
-                blocked = _TracingList(prepared)
-                m_block = Metrics()
-                res_block = block_partition_right(
-                    blocked, 0, length, counting_ordering(operator.lt, m_block), block, m_block
-                )
-                _check_right_contract(prepared, blocked, res_block, pv)
-                assert m_block.comparisons == length - 1, "block must classify each element once"
-                assert res_block.pivot_index == res_scalar.pivot_index
-                assert sorted(blocked[: res_block.pivot_index]) == sorted(
-                    scalar[: res_scalar.pivot_index]
-                ), "left multisets differ"
-                assert sorted(blocked[res_block.pivot_index + 1 :]) == sorted(
-                    scalar[res_scalar.pivot_index + 1 :]
-                ), "right multisets differ"
-                # A swapless report must mean the input was untouched apart
-                # from pivot placement; undoing it re-partitions for free.
-                if res_block.no_swaps:
-                    undone = list(blocked)
-                    undone[0], undone[res_block.pivot_index] = (
-                        undone[res_block.pivot_index],
-                        undone[0],
-                    )
-                    assert undone == prepared, "no_swaps despite rearrangement"
-            if res_scalar.no_swaps:
-                undone = list(scalar)
-                undone[0], undone[res_scalar.pivot_index] = undone[res_scalar.pivot_index], undone[0]
-                assert undone == prepared, "no_swaps despite rearrangement"
-                m2 = Metrics()
-                rerun = list(undone)
-                partition_right(rerun, 0, length, operator.lt, m2)
-                assert m2.exchanges == 0, "re-partition of a swapless input exchanged elements"
-
-            if arr[0] == min(arr):
-                left = _TracingList(arr)
-                res_left = partition_left(left, 0, length, operator.lt)
-                r = res_left.pivot_index
-                lo = min(arr)
-                assert all(x == lo for x in left[: r + 1]), "left partition not all equal"
-                assert all(x > lo for x in left[r + 1 :]), "right partition not above pivot"
-                assert Counter(left) == Counter(arr)
-                assert not res_left.no_swaps
+            try:
+                problem = _oracle_problem(arr)
+            except IndexError as exc:  # _TracingList's fence
+                problem = str(exc)
+            if problem:
+                problems.append(f"{arr}: {problem}")
             checked += 1
     dt = time.perf_counter() - t0
-    return CriterionResult(
-        2, "exhaustive partition oracle", True, True, f"{checked} arrays, {dt:.1f}s"
-    )
+    details = f"{checked} arrays, {dt:.1f}s"
+    if problems:
+        details = f"{checked} arrays, {len(problems)} failures; first: {problems[0]}"
+    return CriterionResult(2, "exhaustive partition oracle", not problems, True, details)
+
+
+def _doubling(name, build, cfg, exps, per_n, min_ratio, problems):
+    """Sort ``build(n)`` under ``cfg`` for each n = 2^e in ``exps``. Appends
+    to ``problems`` an unsorted result, a count above ``per_n`` * n (if
+    given) and a ratio of successive counts outside [``min_ratio``, 2.4].
+    Returns the counts and the ratios."""
+    counts = []
+    for e in exps:
+        n = 2**e
+        arr = build(n)
+        m = instrumented_sort(arr, config=cfg)
+        if arr != sorted(arr):
+            problems.append(f"{name} n=2^{e} unsorted")
+        if per_n is not None and m.comparisons > per_n * n:
+            problems.append(f"{name} n=2^{e}: {m.comparisons} > {per_n}n={per_n * n}")
+        counts.append(m.comparisons)
+    ratios = [b / a for a, b in zip(counts, counts[1:])]
+    for e, r in zip(exps, ratios):
+        if not min_ratio <= r <= 2.4:
+            problems.append(f"{name} ratio 2^{e + 1}/2^{e} = {r:.3f}")
+    return counts, ratios
 
 
 def criterion_linear_duplicates(quick: bool = False) -> CriterionResult:
@@ -220,20 +246,11 @@ def criterion_linear_duplicates(quick: bool = False) -> CriterionResult:
     problems = []
     detail_parts = []
     for (label, cfg), kind in itertools.product(KERNEL_CONFIGS, ("mod8", "ones")):
-        counts = {}
-        for e in exps:
-            n = 2**e
-            arr = generate(DistributionSpec(kind, n, "int64", seed=3))
-            m = instrumented_sort(arr, config=cfg)
-            if arr != sorted(arr):
-                problems.append(f"{kind}/{label} n=2^{e} unsorted")
-            counts[n] = m.comparisons
-            if kind == "ones" and m.comparisons > 8 * n:
-                problems.append(f"ones/{label} n=2^{e}: {m.comparisons} > 8n")
-        ratios = [counts[2 ** (e + 1)] / counts[2**e] for e in list(exps)[:-1]]
-        for e, r in zip(exps, ratios):
-            if not 1.8 <= r <= 2.4:
-                problems.append(f"{kind}/{label} ratio 2^{e + 1}/2^{e} = {r:.3f}")
+        def build(n):
+            return generate(DistributionSpec(kind, n, "int64", seed=3))
+
+        per_n = 8 if kind == "ones" else None
+        _, ratios = _doubling(f"{kind}/{label}", build, cfg, exps, per_n, 1.8, problems)
         detail_parts.append(f"{kind}/{label} ratios {['%.2f' % r for r in ratios]}")
     dt = time.perf_counter() - t0
     details = "; ".join(detail_parts) + f"; {dt:.1f}s"
@@ -306,21 +323,9 @@ def criterion_linear_patterns(quick: bool = False) -> CriterionResult:
     problems = []
     detail_parts = []
     for (label, cfg), (name, build) in itertools.product(KERNEL_CONFIGS, cases.items()):
-        counts = {}
-        for e in exps:
-            n = 2**e
-            arr = build(n)
-            m = instrumented_sort(arr, config=cfg)
-            if arr != sorted(arr):
-                problems.append(f"{name}/{label} n=2^{e} unsorted")
-            counts[n] = m.comparisons
-            if m.comparisons > 6 * n:
-                problems.append(f"{name}/{label} n=2^{e}: {m.comparisons} > 6n={6 * n}")
-        ratios = [counts[2 ** (e + 1)] / counts[2**e] for e in list(exps)[:-1]]
-        for e, r in zip(exps, ratios):
-            if r > 2.4:
-                problems.append(f"{name}/{label} ratio 2^{e + 1}/2^{e} = {r:.3f}")
-        detail_parts.append(f"{name}/{label} max c/n {max(counts[n] / n for n in counts):.2f}")
+        counts, _ = _doubling(f"{name}/{label}", build, cfg, exps, 6, 0.0, problems)
+        max_per_n = max(c / 2**e for e, c in zip(exps, counts))
+        detail_parts.append(f"{name}/{label} max c/n {max_per_n:.2f}")
     dt = time.perf_counter() - t0
     details = "; ".join(detail_parts) + f"; {dt:.1f}s"
     if problems:
@@ -337,26 +342,20 @@ def criterion_worst_case(quick: bool = False) -> CriterionResult:
     worst_ratio = 0.0
     for e in exps:
         n = 2**e
-        bound = 20 * n * math.log2(n)
         adv = adversary_input(n)
         if sorted(adv) != list(range(n)):
             problems.append(f"adversary n=2^{e} not a permutation")
-        for label, cfg in KERNEL_CONFIGS:
-            work = list(adv)
+        inputs = {"adversary": adv}
+        for kind in ("organ", "merge"):
+            inputs[kind] = generate(DistributionSpec(kind, n, "int64", seed=11))
+        for (name, arr), (label, cfg) in itertools.product(inputs.items(), KERNEL_CONFIGS):
+            work = list(arr)
             m = instrumented_sort(work, config=cfg)
             worst_ratio = max(worst_ratio, m.comparisons / (n * math.log2(n)))
-            if work != list(range(n)):
-                problems.append(f"adversary/{label} n=2^{e} unsorted")
-            if m.comparisons > bound:
-                problems.append(f"adversary/{label} n=2^{e}: {m.comparisons} > 20 n log2 n")
-        for (label, cfg), kind in itertools.product(KERNEL_CONFIGS, ("organ", "merge")):
-            arr = generate(DistributionSpec(kind, n, "int64", seed=11))
-            m = instrumented_sort(arr, config=cfg)
-            worst_ratio = max(worst_ratio, m.comparisons / (n * math.log2(n)))
-            if arr != sorted(arr):
-                problems.append(f"{kind}/{label} n=2^{e} unsorted")
-            if m.comparisons > bound:
-                problems.append(f"{kind}/{label} n=2^{e}: {m.comparisons} > 20 n log2 n")
+            if work != sorted(arr):
+                problems.append(f"{name}/{label} n=2^{e} unsorted")
+            if m.comparisons > 20 * n * math.log2(n):
+                problems.append(f"{name}/{label} n=2^{e}: {m.comparisons} > 20 n log2 n")
     dt = time.perf_counter() - t0
     details = f"worst comparisons/(n log2 n) = {worst_ratio:.2f} (gate 20); {dt:.1f}s"
     if problems:
@@ -412,42 +411,18 @@ def criterion_entropy_table(quick: bool = False) -> CriterionResult:
     return CriterionResult(8, "entropy slowdown table", not problems, True, details)
 
 
-def _strip_timing(csv_text: str) -> str:
-    rows = list(csv.reader(io.StringIO(csv_text)))
-    header = rows[0]
-    keep = [i for i, name in enumerate(header) if name not in TIMING_COLUMNS]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for row in rows:
-        writer.writerow([row[i] for i in keep])
-    return out.getvalue()
-
-
 def criterion_bench_determinism(quick: bool = False) -> CriterionResult:
-    """9: two identical bench invocations agree byte-for-byte once the
+    """9: two identical bench invocations agree in every row once the
     timing columns are dropped."""
     import tempfile
     from pathlib import Path
 
     from .cli import main
 
-    args = [
-        "bench",
-        "--algos",
-        "pdq,bpdq,baseline,heapsort",
-        "--dists",
-        "asc,ones,uniform",
-        "--sizes",
-        "256",
-        "--types",
-        "int64,str",
-        "--seed",
-        "7",
-        "--min-time",
-        "0.01s",
-        "--min-iters",
-        "2",
-    ]
+    args = (
+        "bench --algos pdq,bpdq,baseline,heapsort --dists asc,ones,uniform --sizes 256"
+        " --types int64,str --seed 7 --min-time 0.01s --min-iters 2"
+    ).split()
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         for run in range(2):
@@ -457,7 +432,7 @@ def criterion_bench_determinism(quick: bool = False) -> CriterionResult:
                 return CriterionResult(
                     9, "bench determinism", False, True, f"bench exited with {rc}"
                 )
-            outputs.append(_strip_timing(path.read_text()))
+            outputs.append(counter_rows(path))
     ok = outputs[0] == outputs[1]
     details = "two runs byte-identical after dropping timing columns" if ok else "runs differ"
     return CriterionResult(9, "bench determinism", ok, True, details)
@@ -485,11 +460,15 @@ def criterion_performance_notes(quick: bool = False) -> CriterionResult:
         t_pdq, t_base, t_bpdq = (timed(algo) for algo in ("pdq", "introsort_baseline", "bpdq"))
         block_speedups.append(t_pdq / t_bpdq)
         baseline_ratios.append(t_pdq / t_base)
+
+    def spread(ratios):
+        return f"{statistics.median(ratios):.2f}x [{min(ratios):.2f}-{max(ratios):.2f}]"
+
     details = (
-        f"uniform-int64 n=2^{n.bit_length() - 1}, median of {rounds} rounds: block/scalar "
-        f"speedup {statistics.median(block_speedups):.2f}x (compiled builds expect >= 1.2x; "
+        f"uniform-int64 n=2^{n.bit_length() - 1}, median [range] of {rounds} rounds: "
+        f"block/scalar speedup {spread(block_speedups)} (compiled builds expect >= 1.2x; "
         f"interpreted execution hides branch effects), pdq vs baseline "
-        f"{statistics.median(baseline_ratios):.2f}x (expect <= 1.1x)"
+        f"{spread(baseline_ratios)} (expect <= 1.1x)"
     )
     return CriterionResult(10, "performance expectations (informative)", True, False, details)
 
@@ -509,4 +488,17 @@ CRITERIA = (
 
 
 def run_all(quick: bool = False) -> list:
-    return [criterion(quick) for criterion in CRITERIA]
+    """Each criterion's result. One that raises fails, naming the exception
+    and the line that raised it."""
+    results = []
+    for number, criterion in enumerate(CRITERIA, 1):
+        try:
+            results.append(criterion(quick))
+        except Exception as exc:
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            details = (
+                f"raised {type(exc).__name__}: {exc} "
+                f"(at {os.path.basename(where.filename)}:{where.lineno} in {where.name})"
+            )
+            results.append(CriterionResult(number, criterion.__name__, False, True, details))
+    return results

@@ -1,16 +1,15 @@
 """Benchmark harness: run the algorithm matrix over the distribution
 matrix, normalize timings by n*log2(n), and emit CSV rows.
 
-Cells execute strictly sequentially. Each distribution's input is
-generated once; every timing iteration of every algorithm sorts a fresh
-copy of it, and one extra instrumented pass per cell fills the counter
-columns. Timing columns are informative; counters are the
+Cells execute strictly sequentially; :func:`run_benchmark` says how each
+is timed and counted. Timing columns are informative; counters are the
 reproducible part (two runs with identical flags differ only in the
 timing columns).
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import operator
 import time
@@ -44,12 +43,11 @@ CSV_COLUMNS = (
 TIMING_COLUMNS = ("iterations", "total_ns", "ns_per_nlog2n")
 
 
-@dataclass(frozen=True)
-class BenchPolicy:
-    """Repeat each cell until both floors are met."""
-
-    min_time: float = 1.0
-    min_iterations: int = 10
+def counter_rows(path) -> list:
+    """The rows of a bench CSV file as dicts, without the timing columns."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    return [{k: v for k, v in row.items() if k not in TIMING_COLUMNS} for row in rows]
 
 
 @dataclass
@@ -80,21 +78,18 @@ class BenchmarkRecord:
         ]
 
 
-_BLOCK_CONFIG = replace(DEFAULT_CONFIG, use_block_partition=True)
+# The block ablation: bench's bpdq, and the second kernel of each gate.
+BLOCK_CONFIG = replace(DEFAULT_CONFIG, use_block_partition=True)
 
 # Each algorithm is one call (values, lt, metrics): timed with the plain
 # ordering and no metrics, counted with a counting ordering and Metrics.
 ALGORITHMS: dict[str, Callable] = {
     "pdq": lambda v, lt, m: _sort_range(v, lt, DEFAULT_CONFIG, m),
-    "bpdq": lambda v, lt, m: _sort_range(v, lt, _BLOCK_CONFIG, m),
+    "bpdq": lambda v, lt, m: _sort_range(v, lt, BLOCK_CONFIG, m),
     "introsort_baseline": introsort_baseline,
     "heapsort": lambda v, lt, m: heapsort(v, 0, len(v), lt, m),
 }
 _ALGO_ALIASES = {"baseline": "introsort_baseline"}
-
-
-def algorithm_names() -> tuple:
-    return tuple(ALGORITHMS)
 
 
 def resolve_algo(name: str) -> str:
@@ -107,10 +102,18 @@ def resolve_algo(name: str) -> str:
 def run_benchmark(
     algos: Sequence[str],
     specs: Iterable[DistributionSpec],
-    policy: BenchPolicy = BenchPolicy(),
+    min_time: float = 1.0,
+    min_iterations: int = 10,
 ) -> list:
-    """Run every (spec, algo) cell sequentially and return the records."""
+    """Run every (spec, algo) cell sequentially and return the records.
+
+    Each spec's input is generated once. A cell sorts fresh copies of it
+    until both floors are met, ``min_time`` seconds and ``min_iterations``
+    sorts, timing each with the plain ordering; one more, counted, sort
+    fills the counter columns.
+    """
     canonical = [resolve_algo(a) for a in algos]
+    min_ns = int(min_time * 1e9)
     records = []
     for spec in specs:
         values = generate(spec)
@@ -119,8 +122,7 @@ def run_benchmark(
             run = ALGORITHMS[algo]
             total_ns = 0
             iterations = 0
-            min_ns = int(policy.min_time * 1e9)
-            while total_ns < min_ns or iterations < policy.min_iterations:
+            while total_ns < min_ns or iterations < min_iterations:
                 work = list(values)
                 t0 = time.perf_counter_ns()
                 run(work, operator.lt, None)
@@ -160,29 +162,27 @@ def slowdown_table(ps: Sequence[float]) -> list:
 
 
 def format_text_tables(records: Sequence[BenchmarkRecord]) -> str:
-    """One aligned table per distribution: ns/(n log2 n) by algo and n."""
-    lines = []
-    kinds = []
+    """One aligned table per distribution: ns/(n log2 n) by algo and n.
+
+    Tables, and columns within one, come in the order of their first
+    record; of two records for one cell, the first is shown.
+    """
+    tables = {}  # (kind, element_type) -> (algos, {n: {algo: ns_per_nlog2n}})
     for r in records:
-        key = (r.kind, r.element_type)
-        if key not in kinds:
-            kinds.append(key)
-    for kind, etype in kinds:
-        rows = [r for r in records if r.kind == kind and r.element_type == etype]
-        ns = sorted({r.n for r in rows})
-        algos = []
-        for r in rows:
-            if r.algo not in algos:
-                algos.append(r.algo)
+        algos, by_n = tables.setdefault((r.kind, r.element_type), ({}, {}))
+        algos[r.algo] = None
+        by_n.setdefault(r.n, {}).setdefault(r.algo, r.ns_per_nlog2n)
+    lines = []
+    for (kind, etype), (algos, by_n) in tables.items():
         lines.append(f"{kind} / {etype}  (ns per n log2 n)")
-        header = ["n"] + algos
+        header = ["n", *algos]
         widths = [12] + [max(18, len(a) + 2) for a in algos]
         lines.append("".join(f"{h:>{w}}" for h, w in zip(header, widths)))
-        for n in ns:
+        for n in sorted(by_n):
             cells = [f"{n:>{widths[0]}}"]
             for a, w in zip(algos, widths[1:]):
-                match = [r for r in rows if r.n == n and r.algo == a]
-                cells.append(f"{match[0].ns_per_nlog2n:>{w}.3f}" if match else " " * w)
+                cell = by_n[n].get(a)
+                cells.append(" " * w if cell is None else f"{cell:>{w}.3f}")
             lines.append("".join(cells))
         lines.append("")
     return "\n".join(lines)

@@ -16,10 +16,9 @@ import csv
 import sys
 
 from .bench import (
-    BenchPolicy,
+    ALGORITHMS,
     CSV_COLUMNS,
     UsageError,
-    algorithm_names,
     format_text_tables,
     run_benchmark,
     slowdown_table,
@@ -84,7 +83,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("bench", help="run the benchmark matrix")
-    bench.add_argument("--algos", default=",".join(algorithm_names()))
+    bench.add_argument("--algos", default=",".join(ALGORITHMS))
     bench.add_argument("--dists", default=",".join(DISTRIBUTION_KINDS))
     bench.add_argument("--sizes", default=DEFAULT_SIZES)
     bench.add_argument("--types", default="int64")
@@ -117,12 +116,10 @@ def _cmd_bench(args) -> int:
         for kind in _parse_list(args.dists):
             for n in _parse_sizes(args.sizes):
                 specs.append(DistributionSpec(kind, n, etype, seed=args.seed))
-    policy = BenchPolicy(
-        min_time=_parse_duration(args.min_time), min_iterations=args.min_iters
-    )
-    if policy.min_iterations < 1:
+    min_time = _parse_duration(args.min_time)
+    if args.min_iters < 1:
         raise UsageError("--min-iters must be >= 1")
-    records = run_benchmark(_parse_list(args.algos), specs, policy)
+    records = run_benchmark(_parse_list(args.algos), specs, min_time, args.min_iters)
 
     def write(out):
         writer = csv.writer(out, lineterminator="\n")
@@ -187,7 +184,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"pdqsort: error: {exc}", file=sys.stderr)
         return 1
 

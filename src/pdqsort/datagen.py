@@ -178,10 +178,9 @@ def generate(spec: DistributionSpec) -> list:
     if n == 0:
         return []
     values = _base_values(spec.kind, n)
-    if spec.kind in _SHUFFLED:
+    if spec.kind in _SHUFFLED or spec.kind in _SORTED_PREFIX:
         _fisher_yates(values, SplitMix64(_stream_seed(spec.seed, spec.kind, n)))
-    elif spec.kind in _SORTED_PREFIX:
-        _fisher_yates(values, SplitMix64(_stream_seed(spec.seed, spec.kind, n)))
+    if spec.kind in _SORTED_PREFIX:
         k = _SORTED_PREFIX[spec.kind] * n // 100
         values[:k] = sorted(values[:k])
     return _encode(values, spec)

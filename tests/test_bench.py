@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from pdqsort import DistributionSpec, array_digest, generate
+from pdqsort import DistributionSpec, Metrics, array_digest, generate
 from pdqsort.bench import (
+    ALGORITHMS,
     CSV_COLUMNS,
     TIMING_COLUMNS,
-    BenchPolicy,
+    BenchmarkRecord,
     UsageError,
-    algorithm_names,
     binary_entropy,
     format_text_tables,
     resolve_algo,
@@ -48,7 +48,7 @@ class TestSlowdownTable:
 
 class TestAlgorithms:
     def test_names(self):
-        assert set(algorithm_names()) == {"pdq", "bpdq", "introsort_baseline", "heapsort"}
+        assert set(ALGORITHMS) == {"pdq", "bpdq", "introsort_baseline", "heapsort"}
 
     def test_alias(self):
         assert resolve_algo("baseline") == "introsort_baseline"
@@ -58,13 +58,14 @@ class TestAlgorithms:
             resolve_algo("quantum")
 
 
-POLICY = BenchPolicy(min_time=0.0, min_iterations=2)
+# The repeat floors: no minimum time, two timed sorts per cell.
+FLOORS = {"min_time": 0.0, "min_iterations": 2}
 
 
 class TestRunBenchmark:
     def test_policy_floor(self):
         specs = [DistributionSpec("asc", 1 << 10, "int64", seed=1)]
-        (record,) = run_benchmark(["pdq"], specs, POLICY)
+        (record,) = run_benchmark(["pdq"], specs, **FLOORS)
         assert record.iterations >= 2
         assert record.total_ns > 0
         assert record.ns_per_nlog2n > 0
@@ -75,20 +76,20 @@ class TestRunBenchmark:
             DistributionSpec("uniform", 512, "int64", seed=3),
             DistributionSpec("mod8", 512, "str", seed=3),
         ]
-        first = run_benchmark(["pdq", "bpdq", "baseline", "heapsort"], specs, POLICY)
-        second = run_benchmark(["pdq", "bpdq", "baseline", "heapsort"], specs, POLICY)
+        first = run_benchmark(["pdq", "bpdq", "baseline", "heapsort"], specs, **FLOORS)
+        second = run_benchmark(["pdq", "bpdq", "baseline", "heapsort"], specs, **FLOORS)
         for a, b in zip(first, second):
             assert a.metrics == b.metrics
             assert a.input_hash == b.input_hash
 
     def test_input_hash_matches_datagen(self):
         spec = DistributionSpec("dupsq", 300, "int64", seed=5)
-        (record,) = run_benchmark(["heapsort"], [spec], POLICY)
+        (record,) = run_benchmark(["heapsort"], [spec], **FLOORS)
         assert record.input_hash == array_digest(generate(spec))
 
     def test_all_algos_populate_driver_counters(self):
         spec = DistributionSpec("uniform", 2048, "int64", seed=7)
-        for record in run_benchmark(["pdq", "bpdq", "baseline"], [spec], POLICY):
+        for record in run_benchmark(["pdq", "bpdq", "baseline"], [spec], **FLOORS):
             assert record.metrics.comparisons > 0, record.algo
             assert record.metrics.partition_right_calls > 0, record.algo
             assert record.metrics.max_depth > 0, record.algo
@@ -96,20 +97,20 @@ class TestRunBenchmark:
     def test_duplicate_distribution_beats_baseline(self):
         # The equal-element handling pays off on one-value input.
         spec = DistributionSpec("ones", 1 << 12, "int64", seed=2)
-        pdq, baseline = run_benchmark(["pdq", "baseline"], [spec], POLICY)
+        pdq, baseline = run_benchmark(["pdq", "baseline"], [spec], **FLOORS)
         assert pdq.metrics.comparisons < baseline.metrics.comparisons
 
     def test_rows_align_with_columns(self):
         spec = DistributionSpec("asc", 64, "int64", seed=1)
-        (record,) = run_benchmark(["pdq"], [spec], POLICY)
+        (record,) = run_benchmark(["pdq"], [spec], **FLOORS)
         assert len(record.row()) == len(CSV_COLUMNS)
 
     def test_unknown_algo_raises(self):
         with pytest.raises(UsageError):
-            run_benchmark(["nope"], [DistributionSpec("asc", 8)], POLICY)
+            run_benchmark(["nope"], [DistributionSpec("asc", 8)], **FLOORS)
 
     def test_n_below_two_has_zero_normalization(self):
-        (record,) = run_benchmark(["pdq"], [DistributionSpec("asc", 1)], POLICY)
+        (record,) = run_benchmark(["pdq"], [DistributionSpec("asc", 1)], **FLOORS)
         assert record.ns_per_nlog2n == 0.0
 
 
@@ -119,7 +120,36 @@ def test_timing_columns_subset_of_columns():
 
 def test_text_tables_render():
     specs = [DistributionSpec("asc", 256, "int64", seed=1)]
-    records = run_benchmark(["pdq", "heapsort"], specs, POLICY)
+    records = run_benchmark(["pdq", "heapsort"], specs, **FLOORS)
     text = format_text_tables(records)
     assert "asc / int64" in text
     assert "pdq" in text and "heapsort" in text
+
+
+def test_text_tables_layout():
+    # Gaps are blank cells; of two records for one cell the first is shown;
+    # columns come in the order of their first record.
+    def record(algo, kind, element_type, n, ns_per_nlog2n):
+        return BenchmarkRecord(algo, kind, element_type, n, 1, 1, 1, ns_per_nlog2n, "", Metrics())
+
+    records = [
+        record("pdq", "asc", "int64", 64, 1.5),
+        record("baseline", "asc", "int64", 256, 2.25),
+        record("heapsort", "asc", "int64", 64, 30.125),
+        record("pdq", "asc", "int64", 64, 99.0),
+        record("pdq", "ones", "str", 16, 0.5),
+        record("pdq", "asc", "int64", 16, 4.0),
+        record("a_much_longer_algorithm_name", "ones", "str", 8, 7.0),
+    ]
+    assert format_text_tables(records) == (
+        "asc / int64  (ns per n log2 n)\n"
+        "           n               pdq          baseline          heapsort\n"
+        "          16             4.000                                    \n"
+        "          64             1.500                              30.125\n"
+        "         256                               2.250                  \n"
+        "\n"
+        "ones / str  (ns per n log2 n)\n"
+        "           n               pdq  a_much_longer_algorithm_name\n"
+        "           8                                           7.000\n"
+        "          16             0.500                              \n"
+    )

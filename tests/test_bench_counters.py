@@ -12,10 +12,9 @@ that moves the counters on purpose regenerates the file with the same
 command and says why.
 """
 
-import csv
 from pathlib import Path
 
-from pdqsort.bench import TIMING_COLUMNS
+from pdqsort.bench import counter_rows
 from pdqsort.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "bench_counters.csv"
@@ -37,19 +36,11 @@ ARGS = [
 ]
 
 
-def _counter_rows(path):
-    with open(path, newline="") as f:
-        return [
-            {k: v for k, v in row.items() if k not in TIMING_COLUMNS}
-            for row in csv.DictReader(f)
-        ]
-
-
 def test_counter_columns_match_golden(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(ARGS + ["--out", str(out)]) == 0
-    expected = _counter_rows(GOLDEN)
-    actual = _counter_rows(out)
+    expected = counter_rows(GOLDEN)
+    actual = counter_rows(out)
     assert len(actual) == len(expected) == 192
     for want, got in zip(expected, actual):
         assert got == want, (want["algo"], want["kind"], want["element_type"], want["n"])

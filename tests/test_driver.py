@@ -5,7 +5,7 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,7 @@ from pdqsort import (
 )
 from pdqsort import driver
 from pdqsort.acceptance import _toggle_configs
+from pdqsort.bench import BLOCK_CONFIG
 from pdqsort.instrumentation import adversary_input
 from pdqsort.partition import DEFAULT_BLOCK_SIZE
 
@@ -37,8 +38,6 @@ TOGGLES = (
     "use_break_patterns",
     "use_partial_insertion",
 )
-
-BLOCK = replace(DEFAULT_CONFIG, use_block_partition=True)
 
 
 class TestSortConfig:
@@ -293,7 +292,7 @@ class TestSort:
         rng = random.Random(14)
         arr = [rng.randint(0, 99) for _ in range(500)]
         work = list(arr)
-        sort_with(work, lambda a, b: b < a, BLOCK)
+        sort_with(work, lambda a, b: b < a, BLOCK_CONFIG)
         assert work == sorted(arr, reverse=True)
 
     def test_determinism_same_permutation_and_metrics(self):
@@ -384,7 +383,7 @@ def test_sort_frees_the_list_without_the_cyclic_collector():
     # traverse all of them.
     runs = (
         sort,
-        lambda d: sort_with(d, operator.lt, BLOCK),
+        lambda d: sort_with(d, operator.lt, BLOCK_CONFIG),
         instrumented_sort,
         introsort_baseline,
         lambda d: sort_with(d, _failing),

@@ -28,7 +28,6 @@ import pdqsort
 from pdqsort import (
     DistributionSpec,
     Metrics,
-    SortConfig,
     adversary_input,
     block_partition_right,
     break_patterns,
@@ -44,6 +43,7 @@ from pdqsort import (
     sort_with,
 )
 from pdqsort.acceptance import _prepare_pivot, _toggle_configs
+from pdqsort.bench import BLOCK_CONFIG
 from pdqsort.driver import _sort_range
 from pdqsort.partition import DEFAULT_BLOCK_SIZE
 
@@ -189,14 +189,13 @@ def test_uncounted_sorts_run_no_counter_statement():
 
         return lines
 
-    block = SortConfig(use_block_partition=True)
     runs = [
         lambda: sort(generate(DistributionSpec("uniform", 600, "int64", seed=56))),
         lambda: sort(adversary_input(600)),
         # The optimistic path: the only caller of partial_insertion_sort.
         lambda: sort(generate(DistributionSpec("desc", 600, "int64", seed=56))),
         lambda: sort_with(generate(DistributionSpec("mod8", 600, "int64", seed=56)), python_lt),
-        lambda: sort_with(generate(DistributionSpec("organ", 600, "int64", seed=56)), python_lt, block),
+        lambda: sort_with(generate(DistributionSpec("organ", 600, "int64", seed=56)), python_lt, BLOCK_CONFIG),
         lambda: heapsort(list(range(300, 0, -1)), 0, 300, python_lt),
     ]
     previous = sys.gettrace()
