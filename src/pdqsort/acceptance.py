@@ -1,11 +1,14 @@
 """Executable acceptance criteria.
 
-Each criterion function runs one gate of the verification suite at its
-stated tolerance and returns a :class:`CriterionResult`; the CLI `verify`
-subcommand and the pytest acceptance module both drive these. Criterion
-numbers and tolerances are fixed here -- nothing is calibrated at run
-time. The performance-expectation criterion is informative (gating=False)
-and only records measured ratios.
+Each ``criterion_*`` runs one gate at its stated tolerance and returns
+``(summary, problems)``: what it measured and the checks that failed.
+:func:`check` runs one criterion of the :data:`CRITERIA` registry, times
+it and words its :class:`CriterionResult`: ``<summary>; <time>`` when it
+passes, ``<summary>; <k> failures; first: <problem>`` when it fails. A
+criterion that raises fails too. `pdqsort verify` calls ``check(n)`` for
+each criterion in turn and prints each line as its criterion finishes.
+Tolerances are fixed here -- nothing is calibrated at run time.
+Criterion 10 is informative and only records measured ratios.
 """
 
 from __future__ import annotations
@@ -64,10 +67,9 @@ def _depth_bound(n: int) -> int:
     return math.ceil(math.log2(n)) + 2
 
 
-def criterion_correctness_sweep(quick: bool = False) -> CriterionResult:
+def criterion_correctness_sweep(quick: bool = False):
     """1: sorted + multiset-equal output on the full distribution matrix
     and seeded random arrays, under every toggle combination."""
-    t0 = time.perf_counter()
     sizes = list(range(0, 65)) + ([1000, 4096] if not quick else [256])
 
     def inputs():
@@ -91,11 +93,7 @@ def criterion_correctness_sweep(quick: bool = False) -> CriterionResult:
             if work != expected:
                 failures.append((*key, cfg))
                 break
-    dt = time.perf_counter() - t0
-    details = f"{sorts} sorts, {len(failures)} failures, {dt:.1f}s"
-    if failures:
-        details += f"; first: {failures[0]}"
-    return CriterionResult(1, "correctness sweep", not failures, True, details)
+    return f"{sorts} sorts", failures
 
 
 class _TracingList(list):
@@ -159,12 +157,9 @@ def _oracle_problem(arr):
     scalar = _TracingList(prepared)
     m = Metrics()
     res = partition_right(scalar, 0, length, counting_ordering(operator.lt, m), m)
-    rerun = Metrics()
-    if res.no_swaps:
-        partition_right(list(prepared), 0, length, operator.lt, rerun)
     problem = _right_contract_problem(prepared, scalar, res) or _first_failed(
         (length - 1 <= m.comparisons <= length + 1, "scan count off"),
-        (rerun.exchanges == 0, "re-partition of a swapless input exchanged elements"),
+        (m.exchanges == 0 or not res.no_swaps, "no_swaps despite exchanges"),
     )
     if problem:
         return f"partition_right: {problem}"
@@ -193,10 +188,9 @@ def _oracle_problem(arr):
     return None
 
 
-def criterion_partition_oracle(quick: bool = False) -> CriterionResult:
+def criterion_partition_oracle(quick: bool = False):
     """2: exhaustive tripartite oracle over all arrays of length 2..7 on
     the alphabet {0,1,2}, for both right kernels and partition_left."""
-    t0 = time.perf_counter()
     checked = 0
     problems = []
     max_len = 6 if quick else 7
@@ -209,11 +203,7 @@ def criterion_partition_oracle(quick: bool = False) -> CriterionResult:
             if problem:
                 problems.append(f"{arr}: {problem}")
             checked += 1
-    dt = time.perf_counter() - t0
-    details = f"{checked} arrays, {dt:.1f}s"
-    if problems:
-        details = f"{checked} arrays, {len(problems)} failures; first: {problems[0]}"
-    return CriterionResult(2, "exhaustive partition oracle", not problems, True, details)
+    return f"{checked} arrays", problems
 
 
 def _doubling(name, build, cfg, exps, per_n, min_ratio, problems):
@@ -238,10 +228,9 @@ def _doubling(name, build, cfg, exps, per_n, min_ratio, problems):
     return counts, ratios
 
 
-def criterion_linear_duplicates(quick: bool = False) -> CriterionResult:
+def criterion_linear_duplicates(quick: bool = False):
     """3: with k distinct values fixed, comparison counts grow linearly;
     all-equal input stays under 8n comparisons."""
-    t0 = time.perf_counter()
     exps = range(14, 20) if not quick else range(10, 15)
     problems = []
     detail_parts = []
@@ -252,11 +241,7 @@ def criterion_linear_duplicates(quick: bool = False) -> CriterionResult:
         per_n = 8 if kind == "ones" else None
         _, ratios = _doubling(f"{kind}/{label}", build, cfg, exps, per_n, 1.8, problems)
         detail_parts.append(f"{kind}/{label} ratios {['%.2f' % r for r in ratios]}")
-    dt = time.perf_counter() - t0
-    details = "; ".join(detail_parts) + f"; {dt:.1f}s"
-    if problems:
-        details = "; ".join(problems)
-    return CriterionResult(3, "O(nk) duplicate handling", not problems, True, details)
+    return "; ".join(detail_parts), problems
 
 
 @contextmanager
@@ -278,7 +263,7 @@ def _recording_pivots():
         driver.choose_pivot = choose_pivot
 
 
-def criterion_pivot_reuse(quick: bool = False) -> CriterionResult:
+def criterion_pivot_reuse(quick: bool = False):
     """4: over seeded trials with k <= 8 distinct values, no value is
     chosen as pivot more than twice (heapsort subtrees make no pivots)."""
     rng = random.Random(0x1E44)
@@ -300,20 +285,16 @@ def criterion_pivot_reuse(quick: bool = False) -> CriterionResult:
                 violations.append(f"trial {t}/{label}: {partitions} partitions for k={k}")
             if work != sorted(arr):
                 violations.append(f"trial {t}/{label}: unsorted")
-    details = f"{trials} trials on each kernel, {len(violations)} violations"
-    if violations:
-        details += f"; first: {violations[0]}"
-    return CriterionResult(4, "pivot reuse bound", not violations, True, details)
+    return f"{trials} trials on each kernel", violations
 
 
 def _appended_value(n: int) -> int:
     return SplitMix64(n).below(n)
 
 
-def criterion_linear_patterns(quick: bool = False) -> CriterionResult:
+def criterion_linear_patterns(quick: bool = False):
     """5: ascending, descending, and ascending-plus-one-appended inputs
     sort in at most 6n comparisons, scaling linearly."""
-    t0 = time.perf_counter()
     exps = range(10, 21) if not quick else range(10, 15)
     cases = {
         "asc": lambda n: list(range(n)),
@@ -326,17 +307,12 @@ def criterion_linear_patterns(quick: bool = False) -> CriterionResult:
         counts, _ = _doubling(f"{name}/{label}", build, cfg, exps, 6, 0.0, problems)
         max_per_n = max(c / 2**e for e, c in zip(exps, counts))
         detail_parts.append(f"{name}/{label} max c/n {max_per_n:.2f}")
-    dt = time.perf_counter() - t0
-    details = "; ".join(detail_parts) + f"; {dt:.1f}s"
-    if problems:
-        details = "; ".join(problems[:4])
-    return CriterionResult(5, "linear pattern cases", not problems, True, details)
+    return "; ".join(detail_parts), problems
 
 
-def criterion_worst_case(quick: bool = False) -> CriterionResult:
+def criterion_worst_case(quick: bool = False):
     """6: adversary, organ and merge inputs stay within 20 n log2 n
     comparisons and sort correctly."""
-    t0 = time.perf_counter()
     exps = (10, 14, 18) if not quick else (10, 12)
     problems = []
     worst_ratio = 0.0
@@ -356,20 +332,16 @@ def criterion_worst_case(quick: bool = False) -> CriterionResult:
                 problems.append(f"{name}/{label} n=2^{e} unsorted")
             if m.comparisons > 20 * n * math.log2(n):
                 problems.append(f"{name}/{label} n=2^{e}: {m.comparisons} > 20 n log2 n")
-    dt = time.perf_counter() - t0
-    details = f"worst comparisons/(n log2 n) = {worst_ratio:.2f} (gate 20); {dt:.1f}s"
-    if problems:
-        details = "; ".join(problems[:4])
-    return CriterionResult(6, "worst-case comparison gate", not problems, True, details)
+    return f"worst comparisons/(n log2 n) = {worst_ratio:.2f} (gate 20)", problems
 
 
-def criterion_depth_bound(quick: bool = False) -> CriterionResult:
+def criterion_depth_bound(quick: bool = False):
     """7: max recursion depth <= ceil(log2 n) + 2 on every tested input."""
     sizes = (64, 1000, 4096) if quick else (64, 1000, 4096, 1 << 14)
     problems = []
     tested = 0
 
-    def check(n, arr):
+    def measure(n, arr):
         nonlocal tested
         for label, cfg in KERNEL_CONFIGS:
             m = instrumented_sort(list(arr), config=cfg)
@@ -379,20 +351,17 @@ def criterion_depth_bound(quick: bool = False) -> CriterionResult:
 
     for kind in DISTRIBUTION_KINDS:
         for n in sizes:
-            check(n, generate(DistributionSpec(kind, n, "int64", seed=21)))
+            measure(n, generate(DistributionSpec(kind, n, "int64", seed=21)))
     n_adv = 1 << 12
-    check(n_adv, adversary_input(n_adv))
+    measure(n_adv, adversary_input(n_adv))
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(0, 2000)
-        check(n, [rng.randrange(max(1, n // 3 + 1)) for _ in range(n)])
-    details = f"{tested} inputs, {len(problems)} violations"
-    if problems:
-        details += f"; first: {problems[0]}"
-    return CriterionResult(7, "recursion depth bound", not problems, True, details)
+        measure(n, [rng.randrange(max(1, n // 3 + 1)) for _ in range(n)])
+    return f"{tested} inputs", problems
 
 
-def criterion_entropy_table(quick: bool = False) -> CriterionResult:
+def criterion_entropy_table(quick: bool = False):
     """8: slowdown table values at p = 0.5 / 0.2 / 0.125."""
     rows = dict(slowdown_table([0.5, 0.2, 0.125]))
     problems = []
@@ -402,16 +371,14 @@ def criterion_entropy_table(quick: bool = False) -> CriterionResult:
         problems.append(f"slowdown(0.2) = {rows[0.2]:.4f} not within 1.386±0.005")
     if abs(rows[0.125] - 1.84) > 0.01:
         problems.append(f"slowdown(0.125) = {rows[0.125]:.4f} not within 1.84±0.01")
-    details = (
+    summary = (
         f"slowdown(0.5)={rows[0.5]:.3f}, slowdown(0.2)={rows[0.2]:.4f}, "
         f"slowdown(0.125)={rows[0.125]:.4f}"
     )
-    if problems:
-        details = "; ".join(problems)
-    return CriterionResult(8, "entropy slowdown table", not problems, True, details)
+    return summary, problems
 
 
-def criterion_bench_determinism(quick: bool = False) -> CriterionResult:
+def criterion_bench_determinism(quick: bool = False):
     """9: two identical bench invocations agree in every row once the
     timing columns are dropped."""
     import tempfile
@@ -429,16 +396,13 @@ def criterion_bench_determinism(quick: bool = False) -> CriterionResult:
             path = Path(tmp) / f"run{run}.csv"
             rc = main(args + ["--out", str(path)])
             if rc != 0:
-                return CriterionResult(
-                    9, "bench determinism", False, True, f"bench exited with {rc}"
-                )
+                return "bench run", [f"bench exited with {rc}"]
             outputs.append(counter_rows(path))
-    ok = outputs[0] == outputs[1]
-    details = "two runs byte-identical after dropping timing columns" if ok else "runs differ"
-    return CriterionResult(9, "bench determinism", ok, True, details)
+    same = outputs[0] == outputs[1]
+    return "two runs compared after dropping timing columns", [] if same else ["runs differ"]
 
 
-def criterion_performance_notes(quick: bool = False) -> CriterionResult:
+def criterion_performance_notes(quick: bool = False):
     """10: informative timing expectations, recorded but never asserted.
 
     Single runs of one algorithm vary by about 10 %, so each ratio is the
@@ -464,41 +428,46 @@ def criterion_performance_notes(quick: bool = False) -> CriterionResult:
     def spread(ratios):
         return f"{statistics.median(ratios):.2f}x [{min(ratios):.2f}-{max(ratios):.2f}]"
 
-    details = (
+    summary = (
         f"uniform-int64 n=2^{n.bit_length() - 1}, median [range] of {rounds} rounds: "
         f"block/scalar speedup {spread(block_speedups)} (compiled builds expect >= 1.2x; "
         f"interpreted execution hides branch effects), pdq vs baseline "
         f"{spread(baseline_ratios)} (expect <= 1.1x)"
     )
-    return CriterionResult(10, "performance expectations (informative)", True, False, details)
+    return summary, []
 
 
-CRITERIA = (
-    criterion_correctness_sweep,
-    criterion_partition_oracle,
-    criterion_linear_duplicates,
-    criterion_pivot_reuse,
-    criterion_linear_patterns,
-    criterion_worst_case,
-    criterion_depth_bound,
-    criterion_entropy_table,
-    criterion_bench_determinism,
-    criterion_performance_notes,
-)
+# number: (name, criterion, gating). Criterion 10 only records figures.
+CRITERIA = {
+    1: ("correctness sweep", criterion_correctness_sweep, True),
+    2: ("exhaustive partition oracle", criterion_partition_oracle, True),
+    3: ("O(nk) duplicate handling", criterion_linear_duplicates, True),
+    4: ("pivot reuse bound", criterion_pivot_reuse, True),
+    5: ("linear pattern cases", criterion_linear_patterns, True),
+    6: ("worst-case comparison gate", criterion_worst_case, True),
+    7: ("recursion depth bound", criterion_depth_bound, True),
+    8: ("entropy slowdown table", criterion_entropy_table, True),
+    9: ("bench determinism", criterion_bench_determinism, True),
+    10: ("performance expectations (informative)", criterion_performance_notes, False),
+}
 
 
-def run_all(quick: bool = False) -> list:
-    """Each criterion's result. One that raises fails, naming the exception
-    and the line that raised it."""
-    results = []
-    for number, criterion in enumerate(CRITERIA, 1):
-        try:
-            results.append(criterion(quick))
-        except Exception as exc:
-            where = traceback.extract_tb(exc.__traceback__)[-1]
-            details = (
-                f"raised {type(exc).__name__}: {exc} "
-                f"(at {os.path.basename(where.filename)}:{where.lineno} in {where.name})"
-            )
-            results.append(CriterionResult(number, criterion.__name__, False, True, details))
-    return results
+def check(number: int, quick: bool = False) -> CriterionResult:
+    """Criterion ``number``'s result. One that raises fails, informative
+    or not, naming the exception and the line that raised it."""
+    name, criterion, gating = CRITERIA[number]
+    t0 = time.perf_counter()
+    try:
+        summary, problems = criterion(quick)
+    except Exception as exc:
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        details = (
+            f"raised {type(exc).__name__}: {exc} "
+            f"(at {os.path.basename(where.filename)}:{where.lineno} in {where.name})"
+        )
+        return CriterionResult(number, name, False, True, details)
+    if problems:
+        details = f"{summary}; {len(problems)} failures; first: {problems[0]}"
+    else:
+        details = f"{summary}; {time.perf_counter() - t0:.1f}s"
+    return CriterionResult(number, name, not problems, gating, details)

@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from pdqsort import acceptance
 from pdqsort.cli import main
 
 # Pinned: changing the CSV schema is a breaking change for downstream
@@ -86,6 +87,7 @@ class TestBench:
     def test_usage_errors_exit_1(self, tmp_path, flags, capsys):
         rc = main(["bench", "--out", str(tmp_path / "x.csv")] + FAST + flags)
         assert rc == 1
+        assert "pdqsort: error: " in capsys.readouterr().err
 
 
 class TestGen:
@@ -104,6 +106,10 @@ class TestGen:
 
     def test_unknown_kind_exits_1(self, capsys):
         assert main(["gen", "--kind", "zipf", "--n", "4"]) == 1
+
+    def test_negative_n_exits_1(self, capsys):
+        assert main(["gen", "--kind", "ones", "--n", "-3"]) == 1
+        assert "pdqsort: error: n must be >= 0" in capsys.readouterr().err
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -137,23 +143,40 @@ class TestVerify:
         assert "[FAIL]" not in out
 
     def test_failure_exits_2(self, capsys, monkeypatch):
-        from pdqsort import acceptance
+        def broken(quick):
+            return "measured", ["forced failure", "another"]
 
-        def broken(quick=False):
-            return acceptance.CriterionResult(0, "synthetic", False, True, "forced failure")
-
-        monkeypatch.setattr(acceptance, "CRITERIA", (broken,))
+        monkeypatch.setattr(acceptance, "CRITERIA", {0: ("synthetic", broken, True)})
         assert main(["verify", "--quick"]) == 2
-        assert "[FAIL]" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "[FAIL] criterion 0 (synthetic): measured; 2 failures; first: forced failure\n"
+        )
 
     def test_informative_failure_does_not_gate(self, capsys, monkeypatch):
-        from pdqsort import acceptance
+        def note(quick):
+            return "recorded only", ["not a gate"]
 
-        def note(quick=False):
-            return acceptance.CriterionResult(0, "synthetic", False, False, "recorded only")
-
-        monkeypatch.setattr(acceptance, "CRITERIA", (note,))
+        monkeypatch.setattr(acceptance, "CRITERIA", {0: ("synthetic", note, False)})
         assert main(["verify", "--quick"]) == 0
+        assert capsys.readouterr().out.startswith("[INFO] criterion 0 (synthetic): ")
+
+    def test_each_line_prints_as_its_criterion_finishes(self, capsys, monkeypatch):
+        printed = []
+
+        def first(quick):
+            return "first measured", []
+
+        def second(quick):
+            printed.append(capsys.readouterr().out)
+            return "second measured", []
+
+        monkeypatch.setattr(
+            acceptance, "CRITERIA", {1: ("first", first, True), 2: ("second", second, True)}
+        )
+        assert main(["verify", "--quick"]) == 0
+        assert printed[0].startswith("[PASS] criterion 1 (first): first measured; ")
+        assert printed[0].count("\n") == 1
+        assert capsys.readouterr().out.startswith("[PASS] criterion 2 (second): second measured; ")
 
 
 class TestParsing:

@@ -5,6 +5,7 @@ stubbed sort must make its criterion fail, never pass or crash.
 these tests show that they can fail, and how they report it.
 """
 
+import ast
 import math
 import operator
 import os
@@ -37,42 +38,42 @@ def test_criterion_3_fails_without_partition_left(monkeypatch):
     monkeypatch.setattr(
         acceptance, "KERNEL_CONFIGS", (("noleft", SortConfig(use_partition_left=False)),)
     )
-    result = acceptance.criterion_linear_duplicates(quick=True)
+    result = acceptance.check(3, quick=True)
     assert not result.passed
-    assert "ones/noleft n=2^10: 20914 > 8n" in result.details
+    assert "; first: ones/noleft n=2^10: 20914 > 8n=8192" in result.details
 
 
 def test_criterion_5_fails_without_partial_insertion(monkeypatch):
     monkeypatch.setattr(
         acceptance, "KERNEL_CONFIGS", (("nopartial", SortConfig(use_partial_insertion=False)),)
     )
-    result = acceptance.criterion_linear_patterns(quick=True)
+    result = acceptance.check(5, quick=True)
     assert not result.passed
-    assert "asc/nopartial n=2^10: 7398 > 6n=6144" in result.details
+    assert "; first: asc/nopartial n=2^10: 7398 > 6n=6144" in result.details
 
 
 def test_criterion_6_fails_an_unsorted_result(monkeypatch):
     monkeypatch.setattr(acceptance, "instrumented_sort", _stub_sort(False, lambda n: {}))
-    result = acceptance.criterion_worst_case(quick=True)
+    result = acceptance.check(6, quick=True)
     assert not result.passed
-    assert "adversary/scalar n=2^10 unsorted" in result.details
+    assert "; first: adversary/scalar n=2^10 unsorted" in result.details
 
 
 def test_criterion_6_fails_a_count_past_its_bound(monkeypatch):
     over = lambda n: {"comparisons": math.ceil(20 * n * math.log2(n)) + 1}  # noqa: E731
     monkeypatch.setattr(acceptance, "instrumented_sort", _stub_sort(True, over))
-    result = acceptance.criterion_worst_case(quick=True)
+    result = acceptance.check(6, quick=True)
     assert not result.passed
-    assert "adversary/scalar n=2^10: " in result.details
+    assert "; first: adversary/scalar n=2^10: " in result.details
     assert "> 20 n log2 n" in result.details
 
 
 def test_criterion_7_fails_a_depth_past_its_bound(monkeypatch):
     deep = lambda n: {"max_depth": 99}  # noqa: E731
     monkeypatch.setattr(acceptance, "instrumented_sort", _stub_sort(True, deep))
-    result = acceptance.criterion_depth_bound(quick=True)
+    result = acceptance.check(7, quick=True)
     assert not result.passed
-    assert "depth 99 > " in result.details
+    assert "; first: n=64/scalar: depth 99 > " in result.details
 
 
 def test_criterion_9_fails_when_one_counter_differs(monkeypatch):
@@ -87,20 +88,38 @@ def test_criterion_9_fails_when_one_counter_differs(monkeypatch):
         return records
 
     monkeypatch.setattr(cli, "run_benchmark", second_run_differs)
-    result = acceptance.criterion_bench_determinism(quick=True)
+    result = acceptance.check(9, quick=True)
     assert len(runs) == 2
     assert not result.passed
-    assert result.details == "runs differ"
+    assert result.details == (
+        "two runs compared after dropping timing columns; 1 failures; first: runs differ"
+    )
+
+
+def _raising(*args):
+    raise ValueError(NOT_STRICT_WEAK)
+
+
+def test_a_sort_error_in_bench_propagates(monkeypatch):
+    # Not a usage error: main lets it through with its traceback.
+    monkeypatch.setattr(driver, "partition_left", _raising)
+    args = ["bench", "--dists", "dupsq", "--sizes", "256", "--min-time", "0s", "--min-iters", "1"]
+    with pytest.raises(ValueError, match=NOT_STRICT_WEAK):
+        cli.main(args + ["--out", os.devnull])
+
+
+def test_criterion_9_fails_when_bench_raises(monkeypatch):
+    monkeypatch.setattr(driver, "partition_left", _raising)
+    result = acceptance.check(9, quick=True)
+    assert not result.passed
+    assert result.details.startswith(f"raised ValueError: {NOT_STRICT_WEAK} (at ")
 
 
 def test_a_criterion_that_raises_fails_verify(monkeypatch, capsys):
-    def raising(*args):
-        raise ValueError(NOT_STRICT_WEAK)
-
     # Criteria 1 and 3 sort through the sort loop's partition_left;
     # criterion 2 calls the kernels itself and still passes.
-    monkeypatch.setattr(driver, "partition_left", raising)
-    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[:3])
+    monkeypatch.setattr(driver, "partition_left", _raising)
+    monkeypatch.setattr(acceptance, "CRITERIA", {n: acceptance.CRITERIA[n] for n in (1, 2, 3)})
     assert cli.main(["verify", "--quick"]) == 2
     out, err = capsys.readouterr()
     lines = out.splitlines()
@@ -109,8 +128,11 @@ def test_a_criterion_that_raises_fails_verify(monkeypatch, capsys):
         "[PASS] criterion 2 (",
         "[FAIL] criterion 3 (",
     ]
-    assert f"raised ValueError: {NOT_STRICT_WEAK} (at test_gate_failures.py:" in lines[2]
-    assert lines[2].endswith(" in raising)")
+    assert lines[2].startswith(
+        f"[FAIL] criterion 3 (O(nk) duplicate handling): raised ValueError: {NOT_STRICT_WEAK} "
+        "(at test_gate_failures.py:"
+    )
+    assert lines[2].endswith(" in _raising)")
     assert err == ""
 
 
@@ -121,15 +143,49 @@ BROKEN_KERNELS = {
     "never_partitions": (
         "acceptance.partition_right = lambda data, begin, end, lt, metrics=None: "
         "PartitionResult((0, False))",
-        "[FAIL] criterion 2 (exhaustive partition oracle): 1089 arrays, 1089 failures; "
+        "[FAIL] criterion 2 (exhaustive partition oracle): 1089 arrays; 1089 failures; "
         "first: (0, 0): partition_right: scan count off",
     ),
     # block_partition_right reads one element below its range, which on a
     # plain list wraps around to the last element.
     "reads_below_range": (
         "acceptance.block_partition_right = lambda data, begin, *rest: data[begin - 1]",
-        "[FAIL] criterion 2 (exhaustive partition oracle): 1089 arrays, 1089 failures; "
+        "[FAIL] criterion 2 (exhaustive partition oracle): 1089 arrays; 1089 failures; "
         "first: (0, 0): read out of bounds: -1",
+    ),
+    # partition_right exchanges two elements and back, then reports the
+    # swapless result of the real kernel: it rearranged nothing, but a
+    # swapless report must also mean no exchange was made.
+    "exchanges_and_reports_no_swaps": (
+        "def swapping(data, begin, end, lt, metrics=None):\n"
+        "    for _ in range(2):\n"
+        "        data[end - 2], data[end - 1] = data[end - 1], data[end - 2]\n"
+        "        metrics.exchanges += 1\n"
+        "    return partition.partition_right(data, begin, end, lt, metrics)\n"
+        "acceptance.partition_right = swapping",
+        "[FAIL] criterion 2 (exhaustive partition oracle): 1089 arrays; 597 failures; "
+        "first: (0, 0): partition_right: no_swaps despite exchanges",
+    ),
+    # partition_right partitions, then reports the pivot one place to the
+    # right of where it put it.
+    "reports_pivot_one_right": (
+        "def shifted(data, begin, end, lt, metrics=None):\n"
+        "    res = partition.partition_right(data, begin, end, lt, metrics)\n"
+        "    return PartitionResult((res.pivot_index + 1, res.no_swaps))\n"
+        "acceptance.partition_right = shifted",
+        "[FAIL] criterion 2 (exhaustive partition oracle): 1089 arrays; 1089 failures; "
+        "first: (0, 0): partition_right: left partition not strictly below pivot",
+    ),
+    # partition_right partitions, then adds one to the last element, which
+    # keeps the right side above the pivot but changes the multiset.
+    "bumps_last_element": (
+        "def bumping(data, begin, end, lt, metrics=None):\n"
+        "    res = partition.partition_right(data, begin, end, lt, metrics)\n"
+        "    data[end - 1] += 1\n"
+        "    return res\n"
+        "acceptance.partition_right = bumping",
+        "[FAIL] criterion 2 (exhaustive partition oracle): 1089 arrays; 1089 failures; "
+        "first: (0, 0): partition_right: not a permutation",
     ),
 }
 
@@ -142,10 +198,10 @@ def test_criterion_2_fails_a_broken_kernel(broken, flags):
     patch, expected = BROKEN_KERNELS[broken]
     script = "\n".join(
         [
-            "from pdqsort import acceptance",
+            "from pdqsort import acceptance, partition",
             "from pdqsort.partition import PartitionResult",
             patch,
-            "print(acceptance.format_line(acceptance.criterion_partition_oracle(quick=True)))",
+            "print(acceptance.format_line(acceptance.check(2, quick=True)))",
         ]
     )
     src = str(Path(pdqsort.__file__).resolve().parents[1])
@@ -159,3 +215,11 @@ def test_criterion_2_fails_a_broken_kernel(broken, flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected + "\n"
+
+
+def test_no_gate_check_is_an_assert():
+    # python -O strips asserts, so a gate check written as one would pass
+    # whatever it checks.
+    tree = ast.parse(Path(acceptance.__file__).read_text(encoding="utf-8"))
+    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert asserts == []

@@ -14,17 +14,8 @@ from pdqsort import (
     partition_left,
     partition_right,
 )
-from pdqsort.acceptance import _prepare_pivot, _TracingList
+from pdqsort.acceptance import _prepare_pivot, _right_contract_problem, _TracingList
 from pdqsort.partition import DEFAULT_BLOCK_SIZE
-
-
-def check_right_contract(before, after, res):
-    pv = before[0]
-    r = res.pivot_index
-    assert after[r] == pv
-    assert all(x < pv for x in after[:r])
-    assert all(x >= pv for x in after[r + 1 :])
-    assert Counter(after) == Counter(before)
 
 
 class TestPartitionRight:
@@ -113,7 +104,7 @@ class TestBlockPartitionRight:
                 for block_size in (1, 2, 3, 64):
                     blocked = list(prepared)
                     res_b = block_partition_right(blocked, 0, length, operator.lt, block_size)
-                    check_right_contract(prepared, blocked, res_b)
+                    assert _right_contract_problem(prepared, blocked, res_b) is None
                     assert res_b.pivot_index == res_s.pivot_index
                     assert sorted(blocked[: res_b.pivot_index]) == sorted(
                         scalar[: res_s.pivot_index]
@@ -132,7 +123,7 @@ class TestBlockPartitionRight:
         res = block_partition_right(
             blocked, 0, 300, counting_ordering(operator.lt, m_block), DEFAULT_BLOCK_SIZE, m_block
         )
-        check_right_contract(arr, blocked, res)
+        assert _right_contract_problem(arr, blocked, res) is None
         assert m_block.comparisons == 299
 
         m_scalar = Metrics()
@@ -181,8 +172,8 @@ def test_block_scalar_equivalence_property(arr, block_size):
     res_s = partition_right(scalar, 0, len(scalar), operator.lt)
     blocked = list(prepared)
     res_b = block_partition_right(blocked, 0, len(blocked), operator.lt, block_size)
-    check_right_contract(prepared, blocked, res_b)
-    check_right_contract(prepared, scalar, res_s)
+    assert _right_contract_problem(prepared, blocked, res_b) is None
+    assert _right_contract_problem(prepared, scalar, res_s) is None
     assert res_b.pivot_index == res_s.pivot_index
     assert sorted(blocked[: res_b.pivot_index]) == sorted(scalar[: res_s.pivot_index])
 
