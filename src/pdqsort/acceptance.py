@@ -97,16 +97,22 @@ def criterion_correctness_sweep(quick: bool = False):
 
 
 class _TracingList(list):
-    """List whose element accesses must stay in bounds; a negative index
-    (silent wraparound on a plain list) raises IndexError too."""
+    """List whose element accesses must stay in ``[lo, hi)``, by default
+    the whole list; any other index raises IndexError, a negative one too
+    (silent wraparound on a plain list)."""
+
+    def __init__(self, items, lo=0, hi=None):
+        super().__init__(items)
+        self.lo = lo
+        self.hi = len(self) if hi is None else hi
 
     def __getitem__(self, idx):
-        if isinstance(idx, int) and not 0 <= idx < len(self):
+        if isinstance(idx, int) and not self.lo <= idx < self.hi:
             raise IndexError(f"read out of bounds: {idx}")
         return super().__getitem__(idx)
 
     def __setitem__(self, idx, value):
-        if isinstance(idx, int) and not 0 <= idx < len(self):
+        if isinstance(idx, int) and not self.lo <= idx < self.hi:
             raise IndexError(f"write out of bounds: {idx}")
         super().__setitem__(idx, value)
 

@@ -202,7 +202,9 @@ def _sort_range(
     left the list), and the list is still a permutation. Leaves,
     heapsort and partial insertion scan within their range and never
     raise it. An ``IndexError`` raised by the ordering or an element's
-    ``__lt__``, in Python or in C, propagates as it is.
+    ``__lt__``, in Python or in C, propagates as it is, unless the list's
+    length changed: an ordering that resizes the list gets
+    ``ValueError("list modified during sort")``, checked once per sort.
     """
     use_block = config.use_block_partition
     use_left = config.use_partition_left
@@ -210,83 +212,90 @@ def _sort_range(
     use_partial = config.use_partial_insertion
 
     begin = 0
-    end = len(data)
+    end = n = len(data)
     bad_allowed = end.bit_length() - 1 if end > 0 else 0
     if depth_limit:
         bad_allowed *= 2
     # (begin, end, bad_allowed) of each range waiting for the loop: the
     # larger side of every partition still open.
     pending = []
-    while True:
-        size = end - begin
-        if size < INSERTION_THRESHOLD:
-            insertion_sort(data, begin, end, lt, metrics)
-        elif bad_allowed == 0:
-            heapsort(data, begin, end, lt, metrics)
-            if metrics is not None:
-                metrics.heapsort_fallbacks += 1
-        else:
-            choose_pivot(data, begin, end, lt, use_break, metrics)
-
-            # A predecessor never greater than any element here equals
-            # the pivot iff it is not less than it; equal elements then
-            # belong in the left partition, which needs no more work.
-            if use_left and begin > 0 and not lt(data[begin - 1], data[begin]):
-                pivot_index, _ = partition_left(data, begin, end, lt, metrics)
-                begin += pivot_index + 1
-                continue
-
-            # The pivot's index in the range is the size of its left side.
-            if use_block:
-                left_size, no_swaps = block_partition_right(
-                    data, begin, end, lt, DEFAULT_BLOCK_SIZE, metrics
-                )
-            else:
-                left_size, no_swaps = partition_right(data, begin, end, lt, metrics)
-            pivot_pos = begin + left_size
-            right_size = size - 1 - left_size
-
-            sides_sorted = False
-            threshold = size >> BAD_PARTITION_SHIFT
-            if depth_limit:
-                bad_allowed -= 1
-            elif left_size < threshold or right_size < threshold:
-                # A bad partition: a side holds less than 1/8 of the range.
+    try:
+        while True:
+            size = end - begin
+            if size < INSERTION_THRESHOLD:
+                insertion_sort(data, begin, end, lt, metrics)
+            elif bad_allowed == 0:
+                heapsort(data, begin, end, lt, metrics)
                 if metrics is not None:
-                    metrics.bad_partitions += 1
-                bad_allowed -= 1
-                if use_break:
-                    if left_size >= MIN_BREAK_SIZE:
-                        break_patterns(data, begin, pivot_pos, metrics)
-                    if right_size >= MIN_BREAK_SIZE:
-                        break_patterns(data, pivot_pos + 1, end, metrics)
-            elif use_partial and no_swaps:
-                # The optimistic path: a swapless partition of a range
-                # that may be nearly sorted. The right side is tried
-                # only if the left one finished.
-                sides_sorted = partial_insertion_sort(
-                    data, begin, pivot_pos, lt, PARTIAL_INSERTION_BUDGET, metrics
-                ) and partial_insertion_sort(
-                    data, pivot_pos + 1, end, lt, PARTIAL_INSERTION_BUDGET, metrics
-                )
+                    metrics.heapsort_fallbacks += 1
+            else:
+                choose_pivot(data, begin, end, lt, use_break, metrics)
 
-            if not sides_sorted:
-                # The larger side waits, with its own copy of the
-                # remaining budget; the smaller side goes on.
-                if left_size <= right_size:
-                    pending.append((pivot_pos + 1, end, bad_allowed))
-                    end = pivot_pos
+                # A predecessor never greater than any element here equals
+                # the pivot iff it is not less than it; equal elements then
+                # belong in the left partition, which needs no more work.
+                if use_left and begin > 0 and not lt(data[begin - 1], data[begin]):
+                    pivot_index, _ = partition_left(data, begin, end, lt, metrics)
+                    begin += pivot_index + 1
+                    continue
+
+                # The pivot's index in the range is the size of its left side.
+                if use_block:
+                    left_size, no_swaps = block_partition_right(
+                        data, begin, end, lt, DEFAULT_BLOCK_SIZE, metrics
+                    )
                 else:
-                    pending.append((begin, pivot_pos, bad_allowed))
-                    begin = pivot_pos + 1
-                if metrics is not None and len(pending) > metrics.max_depth:
-                    metrics.max_depth = len(pending)
-                continue
+                    left_size, no_swaps = partition_right(data, begin, end, lt, metrics)
+                pivot_pos = begin + left_size
+                right_size = size - 1 - left_size
 
-        # This range is sorted; the loop takes up the one pushed last.
-        if not pending:
-            return
-        begin, end, bad_allowed = pending.pop()
+                sides_sorted = False
+                threshold = size >> BAD_PARTITION_SHIFT
+                if depth_limit:
+                    bad_allowed -= 1
+                elif left_size < threshold or right_size < threshold:
+                    # A bad partition: a side holds less than 1/8 of the range.
+                    if metrics is not None:
+                        metrics.bad_partitions += 1
+                    bad_allowed -= 1
+                    if use_break:
+                        if left_size >= MIN_BREAK_SIZE:
+                            break_patterns(data, begin, pivot_pos, metrics)
+                        if right_size >= MIN_BREAK_SIZE:
+                            break_patterns(data, pivot_pos + 1, end, metrics)
+                elif use_partial and no_swaps:
+                    # The optimistic path: a swapless partition of a range
+                    # that may be nearly sorted. The right side is tried
+                    # only if the left one finished.
+                    sides_sorted = partial_insertion_sort(
+                        data, begin, pivot_pos, lt, PARTIAL_INSERTION_BUDGET, metrics
+                    ) and partial_insertion_sort(
+                        data, pivot_pos + 1, end, lt, PARTIAL_INSERTION_BUDGET, metrics
+                    )
+
+                if not sides_sorted:
+                    # The larger side waits, with its own copy of the
+                    # remaining budget; the smaller side goes on.
+                    if left_size <= right_size:
+                        pending.append((pivot_pos + 1, end, bad_allowed))
+                        end = pivot_pos
+                    else:
+                        pending.append((begin, pivot_pos, bad_allowed))
+                        begin = pivot_pos + 1
+                    if metrics is not None and len(pending) > metrics.max_depth:
+                        metrics.max_depth = len(pending)
+                    continue
+
+            # This range is sorted; the loop takes up the one pushed last.
+            if not pending:
+                break
+            begin, end, bad_allowed = pending.pop()
+    except (IndexError, ValueError) as error:
+        if len(data) != n:
+            raise ValueError("list modified during sort") from error
+        raise
+    if len(data) != n:
+        raise ValueError("list modified during sort")
 
 
 def sort(data: MutableSequence) -> None:

@@ -3,11 +3,13 @@
 Each raising test sweeps the call at which the ordering raises and checks
 that the exception reaches the caller and that the list is still a
 permutation of its input, for both ``Exception`` and
-``KeyboardInterrupt``. The fuzz tests give the sort inconsistent
-relations and allow ``ValueError`` as the only exception: a partition
-scan that runs past its sentinel is reported as an ordering that is not
-a strict weak ordering. The leaf kernel and heapsort scan only their
-range, and raise nothing.
+``KeyboardInterrupt``, on every kernel variant of ``kernels.py`` and on
+the whole sort. The fuzz tests give the sort inconsistent relations and
+allow ``ValueError`` as the only exception: a partition scan that runs
+past its sentinel is reported as an ordering that is not a strict weak
+ordering. The insertion sorts and heapsort scan only their range, and
+raise nothing. An ordering that resizes the list gets a ``ValueError``
+of its own.
 
 The ordering reaches the sort along one of two paths. On the relation
 path it is passed as ``lt``. On the inline path each element carries it
@@ -26,18 +28,16 @@ import pytest
 
 from pdqsort import (
     Metrics,
-    block_partition_right,
-    choose_pivot,
     counting_ordering,
     heapsort,
-    insertion_sort,
-    partial_insertion_sort,
     partition_left,
     partition_right,
     small_sorts,
     sort_with,
 )
-from pdqsort.acceptance import _toggle_configs
+from pdqsort.acceptance import _toggle_configs, _TracingList
+
+from kernels import KERNELS, Boxed
 
 
 class Raised(Exception):
@@ -61,19 +61,6 @@ def raising_at(k, exc):
     return lt
 
 
-class Boxed:
-    """An element whose ``<`` applies ``relation`` to the boxed values."""
-
-    __slots__ = ("value", "relation")
-
-    def __init__(self, value, relation):
-        self.value = value
-        self.relation = relation
-
-    def __lt__(self, other):
-        return self.relation(self.value, other.value)
-
-
 def on_path(inline, arr, lt):
     """The list to sort and the ordering to pass for one path."""
     if inline:
@@ -91,11 +78,14 @@ def calls_made(run, arr, inline=False):
     return m.comparisons
 
 
-def sweep_inputs(prepare, seed):
-    """The five inputs of one kernel's raise-at-call-k sweep, of even and
-    odd lengths."""
+def kernel_sweeps(name, seed):
+    """The five inputs of one row's raise-at-call-k sweep, of even and odd
+    lengths, each with a ``run(work, lt)`` that calls the row's kernel."""
+    row = KERNELS[name]
     rng = random.Random(seed)
-    return [prepare([rng.randint(0, 9) for _ in range(40 + i % 2)]) for i in range(5)]
+    for i in range(5):
+        arr, begin = row.prepare([rng.randint(0, 9) for _ in range(40 + i % 2)])
+        yield arr, lambda work, lt, begin=begin: row.call(work, begin, len(work), lt, None)
 
 
 def assert_permutation_kept(run, arr, ks, exc, inline=False):
@@ -107,42 +97,10 @@ def assert_permutation_kept(run, arr, ks, exc, inline=False):
         assert same_elements(work, before), f"element lost when call {k} raised"
 
 
-def _pivot_first(arr):
-    work = list(arr)
-    choose_pivot(work, 0, len(work), operator.lt)
-    return work
-
-
-def _min_first(arr):
-    return [min(arr)] + arr
-
-
-# name -> (input preparation, kernel call under lt)
-KERNELS = {
-    "insertion_sort": (list, lambda w, lt: insertion_sort(w, 0, len(w), lt)),
-    "insertion_sort_begin_1": (
-        _min_first,
-        lambda w, lt: insertion_sort(w, 1, len(w), lt),
-    ),
-    "partial_insertion_sort": (
-        list,
-        lambda w, lt: partial_insertion_sort(w, 0, len(w), lt, len(w)),
-    ),
-    "heapsort": (list, lambda w, lt: heapsort(w, 0, len(w), lt)),
-    "partition_right": (_pivot_first, lambda w, lt: partition_right(w, 0, len(w), lt)),
-    "partition_left": (_min_first, lambda w, lt: partition_left(w, 0, len(w), lt)),
-    "block_partition_right": (
-        _pivot_first,
-        lambda w, lt: block_partition_right(w, 0, len(w), lt, 4),
-    ),
-}
-
-
 @pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
 @pytest.mark.parametrize("name", KERNELS)
 def test_kernel_keeps_permutation(name, exc):
-    prepare, run = KERNELS[name]
-    for arr in sweep_inputs(prepare, 31):
+    for arr, run in kernel_sweeps(name, 31):
         total = calls_made(run, arr)
         assert_permutation_kept(run, arr, range(1, total + 1), exc)
 
@@ -163,8 +121,7 @@ def test_sort_keeps_permutation(config, exc):
 @pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
 @pytest.mark.parametrize("name", KERNELS)
 def test_inline_kernel_keeps_permutation(name, exc):
-    prepare, run = KERNELS[name]
-    for arr in sweep_inputs(prepare, 33):
+    for arr, run in kernel_sweeps(name, 33):
         total = calls_made(run, arr, inline=True)
         assert_permutation_kept(run, arr, range(1, total + 1), exc, inline=True)
 
@@ -177,9 +134,8 @@ def _line_of(module, text):
 def lines_raised(name, function, inline):
     """The lines of ``function`` at which the sweeps above raise, run
     through kernel ``name``."""
-    prepare, run = KERNELS[name]
     raised_at = set()
-    for arr in sweep_inputs(prepare, 33 if inline else 31):
+    for arr, run in kernel_sweeps(name, 33 if inline else 31):
         for k in range(1, calls_made(run, arr, inline) + 1):
             work, ordering = on_path(inline, arr, raising_at(k, Raised))
             with pytest.raises(Raised) as info:
@@ -337,20 +293,53 @@ def test_index_error_raised_by_a_c_ordering_propagates_unchanged():
     assert same_elements(work, before)
 
 
-class _Fenced(list):
-    """Fails the test on any read or write outside ``[lo, hi)``."""
+def touching(inline, arr, ks, change):
+    """The list to sort and the ordering to pass for one path; the ordering
+    applies ``change`` to that list at each call whose number is in ``ks``."""
+    calls = 0
 
-    def __init__(self, items, lo, hi):
-        super().__init__(items)
-        self.lo, self.hi = lo, hi
+    def relation(a, b):
+        nonlocal calls
+        calls += 1
+        if calls in ks:
+            change(work)
+        return a < b
 
-    def __getitem__(self, idx):
-        assert self.lo <= idx < self.hi, f"read outside the range: {idx}"
-        return list.__getitem__(self, idx)
+    work, ordering = on_path(inline, arr, relation)
+    return work, ordering
 
-    def __setitem__(self, idx, value):
-        assert self.lo <= idx < self.hi, f"write outside the range: {idx}"
-        list.__setitem__(self, idx, value)
+
+RESIZES = {
+    "append": lambda data: data.append(data[0]),
+    "pop": list.pop,
+    "clear": list.clear,
+}
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+@pytest.mark.parametrize("resize", RESIZES)
+def test_ordering_that_resizes_the_list_raises_value_error(resize, inline):
+    # The sort compares the length before and after, and on an IndexError
+    # or ValueError from inside it: a shrunk list fails a subscript or
+    # stops a partition scan early, and a longer one sorts to the end.
+    arr = random.Random(40).sample(range(10000), 300)
+    total = calls_made(sort_with, arr, inline)
+    for k in (1, 10, total // 2, total):
+        work, ordering = touching(inline, arr, {k}, RESIZES[resize])
+        before = list(work)
+        with pytest.raises(ValueError, match="list modified during sort"):
+            sort_with(work, ordering)
+        if resize == "append":
+            # The sort touches only the indices the list had when it began.
+            assert same_elements(work[: len(arr)], before), k
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+def test_ordering_that_reads_the_list_still_sorts(inline):
+    arr = random.Random(41).sample(range(10000), 300)
+    work, ordering = touching(inline, arr, range(1, 10**6), list.copy)
+    sort_with(work, ordering)
+    assert [getattr(v, "value", v) for v in work] == sorted(arr)
 
 
 @pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
@@ -364,7 +353,7 @@ def test_inconsistent_relation_heapsort_stays_in_its_range(relation, inline):
         arr = [rng.randint(0, n) for _ in range(n)]
         work, ordering = on_path(inline, arr, INCONSISTENT[relation](rng.random()))
         below, above = object(), object()
-        fenced = _Fenced([below, *work, above], 1, n + 1)
+        fenced = _TracingList([below, *work, above], 1, n + 1)
         heapsort(fenced, 1, n + 1, ordering)
         after = list(fenced)
         assert after[0] is below and after[-1] is above
@@ -379,25 +368,34 @@ LEAF_ORDERINGS = {
 }
 
 
+# The rows whose kernels bound every scan by their range.
+BOUNDED_ROWS = (
+    "insertion_sort",
+    "insertion_sort_begin_1",
+    "partial_insertion_sort",
+)
+
+
 @pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
 @pytest.mark.parametrize("relation", LEAF_ORDERINGS)
 def test_insertion_sort_stays_in_its_range(relation, inline):
-    # Both scans of the pair insertion sort stop at begin, so whatever the
-    # ordering answers the kernel reads and writes only data[begin:end),
-    # raises nothing, and leaves a permutation; sorted under a consistent
-    # ordering. The fence sits on both sides of ranges that begin at 1 and
-    # at 0, of every leaf size and a few larger.
+    # Both scans of the pair insertion sort stop at begin, and so does the
+    # one scan of the partial insertion sort, so whatever the ordering
+    # answers each reads and writes only data[begin:end), raises nothing,
+    # and leaves a permutation; sorted under a consistent ordering. The
+    # fence sits on both sides of ranges that begin at 0 and at 1, of every
+    # leaf size and a few larger.
     rng = random.Random(39)
-    for begin, n, _ in itertools.product((0, 1), range(40), range(4)):
-        arr = [rng.randint(0, n) for _ in range(n)]
+    for name, n, _ in itertools.product(BOUNDED_ROWS, range(40), range(4)):
+        row = KERNELS[name]
+        arr, begin = row.prepare([rng.randint(0, n) for _ in range(n)])
         work, ordering = on_path(inline, arr, LEAF_ORDERINGS[relation](rng.random()))
-        outside = [object() for _ in range(begin)]
         above = object()
-        fenced = _Fenced([*outside, *work, above], begin, begin + n)
-        insertion_sort(fenced, begin, begin + n, ordering)
+        fenced = _TracingList([*work, above], begin, len(work))
+        row.call(fenced, begin, len(work), ordering, None)
         after = list(fenced)
-        assert after[:begin] == outside and after[-1] is above
-        assert same_elements(after[begin:-1], work), n
+        assert after[:begin] == work[:begin] and after[-1] is above
+        assert same_elements(after[begin:-1], work[begin:]), (name, n)
         if relation in ("lt", "gt"):
             values = [getattr(v, "value", v) for v in after[begin:-1]]
-            assert values == sorted(arr, reverse=relation == "gt"), n
+            assert values == sorted(arr[begin:], reverse=relation == "gt"), (name, n)

@@ -13,7 +13,7 @@ runs the same counters.
 """
 
 import dis
-import itertools
+import inspect
 import linecache
 import operator
 import random
@@ -29,33 +29,22 @@ from pdqsort import (
     DistributionSpec,
     Metrics,
     adversary_input,
-    block_partition_right,
     break_patterns,
-    choose_pivot,
+    driver,
     generate,
     heapsort,
-    insertion_sort,
     partial_insertion_sort,
+    partition,
     partition_left,
-    partition_right,
+    small_sorts,
     sort,
-    sort3,
     sort_with,
 )
-from pdqsort.acceptance import _prepare_pivot, _toggle_configs
+from pdqsort.acceptance import _toggle_configs
 from pdqsort.bench import BLOCK_CONFIG
 from pdqsort.driver import _sort_range
-from pdqsort.partition import DEFAULT_BLOCK_SIZE
 
-
-def python_lt(a, b):
-    return a < b
-
-
-def criterion2_arrays():
-    """Every array of length 2..7 over {0, 1, 2}, as criterion 2 uses."""
-    for length in range(2, 8):
-        yield from (list(arr) for arr in itertools.product(range(3), repeat=length))
+from kernels import KERNELS, Boxed, python_lt, small_arrays
 
 
 def random_arrays(seed):
@@ -87,85 +76,36 @@ def four_ways(kernel, arr, begin):
     return outcomes, counts
 
 
-def assert_alike(outcomes, counts, arr):
-    assert all(outcome == outcomes[0] for outcome in outcomes), arr
-    assert counts[0] == counts[1], arr
-
-
-def test_partition_right_inline_matches_relation():
-    for arr in itertools.chain(criterion2_arrays(), random_arrays(51)):
-        assert_alike(*four_ways(partition_right, _prepare_pivot(arr), 0), arr)
-
-
-def equal_predecessor(arr):
-    """``arr`` with a least element first as the pivot, behind a
-    predecessor equal to it: the range ``partition_left`` is handed."""
-    i = arr.index(min(arr))
-    return [arr[i], arr[i]] + arr[:i] + arr[i + 1 :]
-
-
-def whole(arr):
-    return list(arr), 0
-
-
-def with_args(kernel, *extra):
-    """``kernel`` called as ``(data, begin, end, lt, *extra, metrics)``."""
-    return lambda data, begin, end, lt, metrics: kernel(data, begin, end, lt, *extra, metrics)
-
-
-def median_of_3(data, begin, end, lt, metrics):
-    sort3(data, begin + (end - begin) // 2, begin, end - 1, lt, metrics)
-
-
-# name -> (input preparation returning (list, begin), kernel call). The
-# seeded lists run from 2 to 200 elements, on both sides of
-# NINTHER_THRESHOLD (128), and small budgets make partial insertion abort.
-KERNELS = {
-    "partition_left": (lambda arr: (equal_predecessor(arr), 1), partition_left),
-    "block_partition_right/2": (
-        lambda arr: (_prepare_pivot(arr), 0),
-        with_args(block_partition_right, 2),
-    ),
-    "block_partition_right/64": (
-        lambda arr: (_prepare_pivot(arr), 0),
-        with_args(block_partition_right, DEFAULT_BLOCK_SIZE),
-    ),
-    "partial_insertion_sort/0": (whole, with_args(partial_insertion_sort, 0)),
-    "partial_insertion_sort/8": (whole, with_args(partial_insertion_sort, 8)),
-    "insertion_sort": (whole, insertion_sort),
-    "insertion_sort/behind_predecessor": (lambda arr: ([min(arr)] + arr, 1), insertion_sort),
-    "heapsort": (whole, heapsort),
-    "sort3": (whole, median_of_3),
-    "choose_pivot": (whole, with_args(choose_pivot, True)),
-    "choose_pivot/unguarded": (whole, with_args(choose_pivot, False)),
-}
-
-
 @pytest.mark.parametrize("name", KERNELS)
 def test_kernel_inline_matches_relation(name):
-    prepare, kernel = KERNELS[name]
+    row = KERNELS[name]
     results = set()
-    for arr in itertools.chain(criterion2_arrays(), random_arrays(54)):
-        outcomes, counts = four_ways(kernel, *prepare(arr))
-        assert_alike(outcomes, counts, arr)
+    for arr in (*small_arrays(), *random_arrays(54)):
+        outcomes, counts = four_ways(row.call, *row.prepare(arr))
+        assert all(outcome == outcomes[0] for outcome in outcomes), arr
+        assert counts[0] == counts[1], arr
         results.add(outcomes[0][1])
-    if name.startswith("partial_insertion_sort"):
-        assert results == {True, False}
+    # Budgets 0 and 8 must reach both results; an unbounded one never aborts.
+    if row.kernel is partial_insertion_sort:
+        assert results == ({True} if name == "partial_insertion_sort" else {True, False})
 
 
+ROW_KERNELS = {row.kernel for row in KERNELS.values()}
 # Every function that pdqsort.inline generates branches of.
-GENERATED = (
-    partition_right,
-    partition_left,
-    block_partition_right,
-    sort3,
-    choose_pivot,
-    break_patterns,
-    insertion_sort,
-    partial_insertion_sort,
-    heapsort,
-    _sort_range,
-)
+GENERATED = ROW_KERNELS | {break_patterns, _sort_range}
+
+
+def test_every_inlined_function_has_a_row():
+    # A function with an inline branch closes over pdqsort.inline's
+    # builtin_lt. Each must run alone as a row of tests/kernels.py, or be
+    # the sort loop, which the sort tests run.
+    inlined = {
+        function
+        for module in (driver, partition, small_sorts)
+        for function in vars(module).values()
+        if inspect.isfunction(function) and "builtin_lt" in function.__code__.co_freevars
+    }
+    assert inlined == ROW_KERNELS | {_sort_range}
 
 
 def test_uncounted_sorts_run_no_counter_statement():
@@ -208,30 +148,17 @@ def test_uncounted_sorts_run_no_counter_statement():
     assert seen == set(by_name)
 
 
-class Keyed:
-    """Compares by ``key`` alone, so ties are many and the sort's output
-    permutation shows in the order of the objects."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-
 @pytest.mark.parametrize("config", _toggle_configs())
 def test_sort_inline_matches_sort_with_relation(config):
     rng = random.Random(53)
     for n in (0, 1, 2, 23, 24, 25, 200, 3000):
         for top in (0, 3, 30):
-            items = [Keyed(rng.randint(0, top)) for _ in range(n)]
+            items = [Boxed(rng.randint(0, top), operator.lt) for _ in range(n)]
             a, b = list(items), list(items)
             sort_with(a, operator.lt, config)
             sort_with(b, lambda x, y: x < y, config)
             assert list(map(id, a)) == list(map(id, b)), (n, top)
-            assert [x.key for x in a] == sorted(x.key for x in items)
+            assert [x.value for x in a] == sorted(x.value for x in items)
 
 
 def test_sort_makes_no_python_level_call_of_operator_lt():

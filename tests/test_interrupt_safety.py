@@ -54,6 +54,8 @@ from pdqsort import (
     sort,
 )
 
+from kernels import python_lt
+
 # The modules whose frames are swept.
 SWEPT = frozenset(module.__name__ for module in (driver, partition, small_sorts))
 
@@ -114,7 +116,7 @@ def interrupter(stop=None):
 
     def call(frame, event, arg):
         kernel = frame.f_globals.get("__name__") in SWEPT
-        if not kernel and frame.f_code is not less.__code__:
+        if not kernel and frame.f_code is not python_lt.__code__:
             return None
         point()
         if not SWEEP_JUMPS or not kernel:
@@ -146,20 +148,18 @@ def interrupter(stop=None):
     return call, points
 
 
-def less(a, b):
-    return a < b
-
-
 def heapsort_with(lt, counted):
     """A call that heapsorts its list argument, given a ``Metrics`` if
     ``counted``."""
     return lambda work: heapsort(work, 0, len(work), lt, Metrics() if counted else None)
 
 
+# The branches of heapsort: operator.lt's inline one, and a Python
+# relation's uncounted and counted ones.
 HEAPSORT_BRANCHES = {
-    "operator.lt": heapsort_with(operator.lt, False),
-    "Python relation": heapsort_with(less, False),
-    "Python relation, counted": heapsort_with(less, True),
+    "inline": heapsort_with(operator.lt, False),
+    "relation": heapsort_with(python_lt, False),
+    "counted": heapsort_with(python_lt, True),
 }
 HEAPSORT_INPUT = random.Random(11).sample(range(300), 300)
 
@@ -168,6 +168,13 @@ SORT_INPUTS = {
     for kind in ("uniform", "dupsq", "desc")
 }
 SORT_INPUTS["adversary"] = adversary_input(100)
+# The counter that shows an input reaches a kernel beyond partition_right
+# and the leaves.
+REACHES = {
+    "dupsq": "partition_left_calls",
+    "desc": "partial_insertion_attempts",
+    "adversary": "heapsort_fallbacks",
+}
 
 
 def traced(run, work, hook):
@@ -202,20 +209,25 @@ def sweep(run, arr):
     return len(points), broken
 
 
-def test_heapsort_interrupted_at_any_point_keeps_permutation():
-    for name, run in HEAPSORT_BRANCHES.items():
-        points, broken = sweep(run, HEAPSORT_INPUT)
-        assert not broken, f"{name}: {len(broken)} of {points} points lost an element"
+def pytest_generate_tests(metafunc):
+    # One test per heapsort branch and per sort() input. pytest calls this
+    # hook, so the module itself needs no pytest.
+    for name, cases in (("branch", HEAPSORT_BRANCHES), ("kind", SORT_INPUTS)):
+        if name in metafunc.fixturenames:
+            metafunc.parametrize(name, cases)
 
 
-def test_sort_interrupted_at_any_point_keeps_permutation():
-    counts = {kind: instrumented_sort(list(arr)) for kind, arr in SORT_INPUTS.items()}
-    assert counts["dupsq"].partition_left_calls > 0
-    assert counts["adversary"].heapsort_fallbacks > 0
-    assert counts["desc"].partial_insertion_attempts > 0
-    for kind, arr in SORT_INPUTS.items():
-        points, broken = sweep(sort, arr)
-        assert not broken, f"{kind}: {len(broken)} of {points} points lost an element"
+def test_heapsort_interrupted_at_any_point_keeps_permutation(branch):
+    points, broken = sweep(HEAPSORT_BRANCHES[branch], HEAPSORT_INPUT)
+    assert not broken, f"{len(broken)} of {points} points lost an element"
+
+
+def test_sort_interrupted_at_any_point_keeps_permutation(kind):
+    arr = SORT_INPUTS[kind]
+    if kind in REACHES:
+        assert getattr(instrumented_sort(list(arr)), REACHES[kind]) > 0
+    points, broken = sweep(sort, arr)
+    assert not broken, f"{len(broken)} of {points} points lost an element"
 
 
 if __name__ == "__main__":

@@ -1,4 +1,3 @@
-import itertools
 import operator
 import random
 from collections import Counter
@@ -16,6 +15,8 @@ from pdqsort import (
 )
 from pdqsort.acceptance import _prepare_pivot, _right_contract_problem, _TracingList
 from pdqsort.partition import DEFAULT_BLOCK_SIZE
+
+from kernels import small_arrays
 
 
 class TestPartitionRight:
@@ -96,22 +97,19 @@ class TestBlockPartitionRight:
         assert res.pivot_index == 1
 
     def test_exhaustive_vs_scalar(self):
-        for length in range(2, 8):
-            for arr in itertools.product(range(3), repeat=length):
-                prepared = _prepare_pivot(arr)
-                scalar = list(prepared)
-                res_s = partition_right(scalar, 0, length, operator.lt)
-                for block_size in (1, 2, 3, 64):
-                    blocked = list(prepared)
-                    res_b = block_partition_right(blocked, 0, length, operator.lt, block_size)
-                    assert _right_contract_problem(prepared, blocked, res_b) is None
-                    assert res_b.pivot_index == res_s.pivot_index
-                    assert sorted(blocked[: res_b.pivot_index]) == sorted(
-                        scalar[: res_s.pivot_index]
-                    )
-                    assert sorted(blocked[res_b.pivot_index + 1 :]) == sorted(
-                        scalar[res_s.pivot_index + 1 :]
-                    )
+        for arr in small_arrays():
+            prepared = _prepare_pivot(arr)
+            scalar = list(prepared)
+            res_s = partition_right(scalar, 0, len(arr), operator.lt)
+            for block_size in (1, 2, 3, 64):
+                blocked = list(prepared)
+                res_b = block_partition_right(blocked, 0, len(arr), operator.lt, block_size)
+                assert _right_contract_problem(prepared, blocked, res_b) is None
+                assert res_b.pivot_index == res_s.pivot_index
+                assert sorted(blocked[: res_b.pivot_index]) == sorted(scalar[: res_s.pivot_index])
+                assert sorted(blocked[res_b.pivot_index + 1 :]) == sorted(
+                    scalar[res_s.pivot_index + 1 :]
+                )
 
     def test_multi_block_comparison_count(self):
         # 300 elements forces several 64-element blocks plus a tail; the
@@ -155,13 +153,12 @@ class TestBlockPartitionRight:
 
 
 def test_no_out_of_bounds_access_exhaustive():
-    for length in range(2, 7):
-        for arr in itertools.product(range(3), repeat=length):
-            prepared = _prepare_pivot(arr)
-            partition_right(_TracingList(prepared), 0, length, operator.lt)
-            block_partition_right(_TracingList(prepared), 0, length, operator.lt, 2)
-            if arr[0] == min(arr):
-                partition_left(_TracingList(arr), 0, length, operator.lt)
+    for arr in small_arrays():
+        prepared = _prepare_pivot(arr)
+        partition_right(_TracingList(prepared), 0, len(arr), operator.lt)
+        block_partition_right(_TracingList(prepared), 0, len(arr), operator.lt, 2)
+        if arr[0] == min(arr):
+            partition_left(_TracingList(arr), 0, len(arr), operator.lt)
 
 
 @given(st.lists(st.integers(0, 9), min_size=2, max_size=200), st.integers(1, 80))

@@ -16,6 +16,7 @@ from pdqsort import (
     sort3,
     unguarded_insertion_sort,
 )
+from pdqsort.acceptance import _TracingList
 
 
 def classic_insertion_oracle(arr):
@@ -68,20 +69,6 @@ def pair_insertion_oracle(arr):
     return comparisons, moves
 
 
-class _ReadFence(list):
-    """Fails the test if any index below ``fence`` is read or written."""
-
-    fence = 0
-
-    def __getitem__(self, idx):
-        assert idx >= self.fence, f"read below predecessor: {idx}"
-        return list.__getitem__(self, idx)
-
-    def __setitem__(self, idx, value):
-        assert idx >= self.fence, f"write below predecessor: {idx}"
-        list.__setitem__(self, idx, value)
-
-
 class TestInsertionSort:
     def test_empty_and_single(self):
         for arr in ([], [3]):
@@ -115,8 +102,7 @@ class TestInsertionSort:
             arr = [rng.randint(0, 9) for _ in range(rng.randint(0, 30))]
             comparisons, moves = pair_insertion_oracle(arr)
             for before in ([], [10]):
-                work = _ReadFence(before + arr)
-                work.fence = len(before)
+                work = _TracingList(before + arr, len(before))
                 m = Metrics()
                 insertion_sort(work, len(before), len(work), counting_ordering(operator.lt, m), m)
                 assert list(work) == before + sorted(arr)
