@@ -9,8 +9,8 @@ Three primitives over ``data[begin:end)`` with the pivot at ``data[begin]``:
   left partition; called when the range's predecessor equals the pivot,
   so its left partition needs no further recursion.
 - :func:`block_partition_right`: same contract as partition_right, but
-  misplaced elements are located with unconditional position stores and
-  predicate-incremented counters, then exchanged pairwise in blocks.
+  each block's misplaced elements are collected first, then exchanged
+  pairwise.
 
 All kernels assume the pivot was placed by a median-of-(at-least-)3
 selection, which guarantees an element >= pivot somewhere to its right;
@@ -197,89 +197,58 @@ def block_partition_right(
 ) -> PartitionResult:
     """Block-based partition_right; identical contract, different moves.
 
-    Each round classifies up to one block per side with unconditional
-    position stores, then resolves min(num_l, num_r) misplaced pairs with
-    one pairwise exchange each. Leftover positions carry into the next
-    round; the side that ran dry refills. A final reduced-size round
-    handles the tail, and the drain loop moves any remaining one-sided
-    leftovers next to the boundary. Each call allocates its two position
-    lists of ``block`` entries, as the reference declares its offset
-    arrays inside ``partition_right_branchless``; the reference stores
-    one-byte offsets from a block base so that a buffer fits in cache
-    lines, while a Python list slot holds an int either way.
+    Each round collects the misplaced positions of up to one block per
+    side, in scan order, and exchanges the k-th from the left with the
+    k-th from the right; leftovers carry over, and only a side that ran
+    dry refills. The drain moves the last leftovers next to the boundary.
     """
     if block < 1:
         raise ValueError("block size must be >= 1")
-    offs_l = [0] * block
-    offs_r = [0] * block
     pivot = data[begin]
-
     first = begin + 1
     last = end
-    num_l = num_r = 0
-    start_l = start_r = 0
+    left = right = []
     swaps = 0
 
     while first < last:
         # At most one side has leftovers, and only an empty side refills.
         unknown = last - first
-        take_l = 0 if num_l else min(block, unknown if num_r else unknown // 2)
-        take_r = 0 if num_r else min(block, unknown - take_l)
+        take_l = 0 if left else min(block, unknown if right else unknown // 2)
+        take_r = 0 if right else min(block, unknown - take_l)
 
         if take_l:
-            start_l = 0
-            for k in range(first, first + take_l):
-                offs_l[num_l] = k
-                num_l += not lt(data[k], pivot)
+            left = [k for k in range(first, first + take_l) if not lt(data[k], pivot)]
             first += take_l
         if take_r:
-            start_r = 0
-            for k in range(last - 1, last - 1 - take_r, -1):
-                offs_r[num_r] = k
-                num_r += lt(data[k], pivot)
+            right = [k for k in range(last - 1, last - 1 - take_r, -1) if lt(data[k], pivot)]
             last -= take_r
 
-        num = num_l if num_l < num_r else num_r
-        if num:
-            # Pairwise exchanges: the k-th misplaced element from the left
-            # always partners the k-th misplaced element from the right,
-            # so a reversing partition (descending input) applies an exact
-            # mirror and leaves its children sorted for the optimistic
-            # linear path. Chaining the moves through one temporary would
-            # save a store per pair but shears that mirror by one slot per
-            # round, which destroys the linear behaviour.
-            for k in range(num):
-                a = offs_l[start_l + k]
-                b = offs_r[start_r + k]
-                data[a], data[b] = data[b], data[a]
-            swaps += num
-            num_l -= num
-            num_r -= num
-            start_l += num
-            start_r += num
+        # Pairwise exchanges: the k-th misplaced element from the left
+        # always partners the k-th misplaced element from the right,
+        # so a reversing partition (descending input) applies an exact
+        # mirror and leaves its children sorted for the optimistic
+        # linear path. Chaining the moves through one temporary would
+        # save a store per pair but shears that mirror by one slot per
+        # round, which destroys the linear behaviour.
+        for a, b in zip(left, right):
+            data[a], data[b] = data[b], data[a]
+        num = min(len(left), len(right))
+        swaps += num
+        left, right = left[num:], right[num:]
 
-    # Drain the surviving buffer (at most one side is non-empty, as every
-    # round subtracts min(num_l, num_r) from both): walk its positions from
-    # the boundary side inward, swapping each wrong-side element next to
-    # the boundary. Coincident positions mean the element is already in
-    # place, so nothing is exchanged.
-    if num_l:
-        while num_l:
-            num_l -= 1
-            a = offs_l[start_l + num_l]
-            last -= 1
-            if a != last:
-                data[a], data[last] = data[last], data[a]
-                swaps += 1
-        first = last
+    # At most one list survives, as each round pairs off both. Its
+    # positions, boundary side first, pair with the slots next to the
+    # boundary; a position that is its own slot is already in place.
+    if left:
+        first -= len(left)
+        pairs = zip(reversed(left), range(last - 1, first - 1, -1))
     else:
-        while num_r:
-            num_r -= 1
-            b = offs_r[start_r + num_r]
-            if b != first:
-                data[b], data[first] = data[first], data[b]
-                swaps += 1
-            first += 1
+        pairs = zip(reversed(right), range(first, first + len(right)))
+        first += len(right)
+    for a, b in pairs:
+        if a != b:
+            data[a], data[b] = data[b], data[a]
+            swaps += 1
 
     pivot_pos = first - 1
     data[begin] = data[pivot_pos]

@@ -101,8 +101,9 @@ def median_of_3(data, begin, end, lt, metrics):
     sort3(data, begin + (end - begin) // 2, begin, end - 1, lt, metrics)
 
 
-# The inputs of the sweeps run from 2 to 200 elements, on both sides of
-# NINTHER_THRESHOLD (128), and budgets 0 and 8 make partial insertion abort.
+# The raise-at-call-k sweeps run each row on inputs of 40 and 41
+# elements; the four-way test on inputs of 2 to 200, on both sides of
+# NINTHER_THRESHOLD (128). Budgets 0 and 8 make partial insertion abort.
 # A bare block_partition_right runs blocks of 4, a bare
 # partial_insertion_sort a budget no range exhausts, and
 # insertion_sort_begin_1 a range behind a least element.

@@ -344,11 +344,17 @@ class TestIntrosortBaseline:
         assert work == [1, 2, 3]
 
     def test_random_oracle(self):
+        # One long input of mostly distinct values, then short ones full
+        # of duplicates.
         rng = random.Random(19)
-        arr = [rng.randint(0, 10**6) for _ in range(10**4)]
-        work = list(arr)
-        introsort_baseline(work)
-        assert work == sorted(arr)
+        inputs = [[rng.randint(0, 10**6) for _ in range(10**4)]]
+        rng = random.Random(20)
+        for _ in range(20):
+            inputs.append([rng.randint(0, 20) for _ in range(rng.randint(0, 600))])
+        for arr in inputs:
+            work = list(arr)
+            introsort_baseline(work)
+            assert work == sorted(arr)
 
     def test_killer_input_engages_fallback(self):
         n = 1 << 14
@@ -358,15 +364,6 @@ class TestIntrosortBaseline:
         introsort_baseline(work, counting_ordering(operator.lt, m), metrics=m)
         assert work == list(range(n))
         assert m.heapsort_fallbacks >= 1
-
-    def test_matches_oracle_with_toggles(self):
-        rng = random.Random(20)
-        for _ in range(20):
-            n = rng.randint(0, 600)
-            arr = [rng.randint(0, 20) for _ in range(n)]
-            work = list(arr)
-            introsort_baseline(work)
-            assert work == sorted(arr)
 
 
 class _WeakList(list):

@@ -90,6 +90,26 @@ def test_kernel_inline_matches_relation(name):
         assert results == ({True} if name == "partial_insertion_sort" else {True, False})
 
 
+def list_lt(a, b):
+    """``<`` that answers with a list, truthy or empty, not a bool."""
+    return [a] if a < b else []
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_uses_only_the_truth_of_a_comparison(name):
+    # A relation may return any object; a kernel that counted with its
+    # results instead of testing them would move the wrong elements.
+    row = KERNELS[name]
+    for arr in random_arrays(54):
+        data, begin = row.prepare(arr)
+        outcomes = []
+        for lt in (python_lt, list_lt):
+            work = list(data)
+            result = row.call(work, begin, len(work), lt, None)
+            outcomes.append((list(map(id, work)), result))
+        assert outcomes[0] == outcomes[1], arr
+
+
 ROW_KERNELS = {row.kernel for row in KERNELS.values()}
 # Every function that pdqsort.inline generates branches of.
 GENERATED = ROW_KERNELS | {break_patterns, _sort_range}

@@ -10,7 +10,9 @@ The heapsort fallback sorts a shuffled list on each branch that
 inline ``<`` branch, which ``sort()`` runs), uncounted under a Python
 relation (whose calls add their own entries), and counted, given a
 ``Metrics``, under the Python relation (the branch ``instrumented_sort``
-runs). ``sort()`` itself, whose sort loop and kernels all run their
+runs). Each heapsort test also checks that its sweep reaches every
+static point (a function's entry, a backward jump's offset) of one
+traced heapsort of a longer input. ``sort()`` itself, whose sort loop and kernels all run their
 inline branch, sorts four 100-element inputs: ``uniform``, ``dupsq``,
 which reaches ``partition_left``, the adversary, which reaches the
 heapsort fallback, and ``desc``, which takes the optimistic partial
@@ -29,8 +31,9 @@ interpreter makes on its own, such as a ``gc.callbacks`` entry during a
 collection, would be a point that some runs never reach.
 
 The module imports no pytest, so it also runs as a script on an
-interpreter without it, printing the points swept and broken and
-exiting with status 1 if any broke::
+interpreter without it, printing the points swept and broken and the
+static points missed, and exiting with status 1 if any broke or were
+missed::
 
     PYTHONPATH=src python tests/test_interrupt_safety.py
 """
@@ -94,7 +97,9 @@ def _jump_offsets(code):
 
 def interrupter(stop=None):
     """A ``sys.settrace`` hook that raises ``KeyboardInterrupt`` at one
-    point, and the list of the points it recorded.
+    point, and the points it recorded, in order, each mapped to its
+    static point: the code object at a function entry, ``(code, offset)``
+    at a backward jump.
 
     A point is named by the number of line events before it and its rank
     among the points after the last of them. A run that records its
@@ -103,14 +108,14 @@ def interrupter(stop=None):
     event, which is several times faster, and opcodes from there on.
     """
     window = 0 if stop is None else stop[0]
-    points = []
+    points = {}
     lines = rank = 0
 
-    def point():
+    def point(site):
         nonlocal rank
         rank += 1
         if stop is None:
-            points.append((lines, rank))
+            points[lines, rank] = site
         elif (lines, rank) == stop:
             raise KeyboardInterrupt
 
@@ -118,7 +123,7 @@ def interrupter(stop=None):
         kernel = frame.f_globals.get("__name__") in SWEPT
         if not kernel and frame.f_code is not python_lt.__code__:
             return None
-        point()
+        point(frame.f_code)
         if not SWEEP_JUMPS or not kernel:
             return None
         jumps = _jump_offsets(frame.f_code)
@@ -136,7 +141,7 @@ def interrupter(stop=None):
                         caller.f_trace_opcodes = True
                         caller = caller.f_back
             elif event == "opcode" and frame.f_lasti in jumps:
-                point()
+                point((frame.f_code, frame.f_lasti))
             return local
 
         # From 3.13 opcode events start only for a frame that already has
@@ -161,7 +166,12 @@ HEAPSORT_BRANCHES = {
     "relation": heapsort_with(python_lt, False),
     "counted": heapsort_with(python_lt, True),
 }
-HEAPSORT_INPUT = random.Random(11).sample(range(300), 300)
+# A sweep re-runs the traced sort from the start for each point, so it
+# takes time quadratic in the input's length. 100 elements reach every
+# static point that 300 do, which the heapsort tests check against one
+# recorded run on COVERAGE_INPUT.
+HEAPSORT_INPUT = random.Random(11).sample(range(100), 100)
+COVERAGE_INPUT = random.Random(11).sample(range(300), 300)
 
 SORT_INPUTS = {
     kind: generate(DistributionSpec(kind, 100, "int64", seed=4))
@@ -189,11 +199,25 @@ def traced(run, work, hook):
         sys.settrace(previous)
 
 
-def sweep(run, arr):
-    """Interrupt ``run`` on a copy of ``arr`` at every point in turn;
-    return the number of points and those that broke the permutation."""
+def record(run, arr):
+    """The points of one traced run of ``run`` on a copy of ``arr``, as
+    :func:`interrupter` maps them."""
     recorder, points = interrupter()
     traced(run, list(arr), recorder)
+    return points
+
+
+def missed(run, points):
+    """The static points that ``run`` reaches on COVERAGE_INPUT and none
+    of ``points`` does."""
+    return set(record(run, COVERAGE_INPUT).values()) - set(points.values())
+
+
+def sweep(run, arr):
+    """Interrupt ``run`` on a copy of ``arr`` at every point in turn;
+    return the points and the numbers of those that broke the
+    permutation."""
+    points = record(run, arr)
     expected = sorted(arr)
     broken = []
     for k, stop in enumerate(points, 1):
@@ -206,7 +230,7 @@ def sweep(run, arr):
             raise AssertionError(f"point {k} never came")
         if sorted(work) != expected:
             broken.append(k)
-    return len(points), broken
+    return points, broken
 
 
 def pytest_generate_tests(metafunc):
@@ -218,8 +242,11 @@ def pytest_generate_tests(metafunc):
 
 
 def test_heapsort_interrupted_at_any_point_keeps_permutation(branch):
-    points, broken = sweep(HEAPSORT_BRANCHES[branch], HEAPSORT_INPUT)
-    assert not broken, f"{len(broken)} of {points} points lost an element"
+    run = HEAPSORT_BRANCHES[branch]
+    points, broken = sweep(run, HEAPSORT_INPUT)
+    assert not broken, f"{len(broken)} of {len(points)} points lost an element"
+    unreached = missed(run, points)
+    assert not unreached, f"{len(unreached)} static points missed"
 
 
 def test_sort_interrupted_at_any_point_keeps_permutation(kind):
@@ -227,7 +254,7 @@ def test_sort_interrupted_at_any_point_keeps_permutation(kind):
     if kind in REACHES:
         assert getattr(instrumented_sort(list(arr)), REACHES[kind]) > 0
     points, broken = sweep(sort, arr)
-    assert not broken, f"{len(broken)} of {points} points lost an element"
+    assert not broken, f"{len(broken)} of {len(points)} points lost an element"
 
 
 if __name__ == "__main__":
@@ -237,6 +264,11 @@ if __name__ == "__main__":
     failed = False
     for name, run, arr in runs:
         points, broken = sweep(run, arr)
+        report = f"{name}: {len(broken)} of {len(points)} points broke the permutation"
+        if arr is HEAPSORT_INPUT:
+            unreached = missed(run, points)
+            report += f"; {len(unreached)} static points missed"
+            failed = failed or bool(unreached)
         failed = failed or bool(broken)
-        print(f"{name}: {len(broken)} of {points} points broke the permutation")
+        print(report)
     sys.exit(1 if failed else 0)
