@@ -8,9 +8,10 @@ the default configuration. Every heuristic is individually toggleable
 via :class:`SortConfig`, passed to ``sort_with(data, lt, config)``,
 including the paper's block partitioner, which is off by default because
 under CPython it is slower than the scalar one. The paper's tuning
-numbers are constants of :mod:`pdqsort.driver`: insertion threshold 24,
-ninther threshold 128, partial-insertion budget 8, block size 64 and
-bad-partition cutoff 1/8.
+numbers are constants beside their code: insertion threshold 24, ninther
+threshold 128 and bad-partition cutoff 1/8 in :mod:`pdqsort.driver`, the
+partial-insertion budget 8 in :mod:`pdqsort.small_sorts` and block size 64
+in :mod:`pdqsort.partition`.
 The ``pdqsort`` CLI adds benchmark, input-generation, entropy-table and
 verification commands.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import statistics
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
@@ -109,8 +110,8 @@ def run_benchmark(
 
     Each spec's input is generated once. A cell sorts fresh copies of it
     until both floors are met, ``min_time`` seconds and ``min_iterations``
-    sorts, timing each with the plain ordering; one more, counted, sort
-    fills the counter columns.
+    sorts, timing each with the plain ordering; ``ns_per_nlog2n`` is their
+    median time over n log2 n. One more, counted, sort fills the counters.
     """
     canonical = [resolve_algo(a) for a in algos]
     min_ns = int(min_time * 1e9)
@@ -121,13 +122,13 @@ def run_benchmark(
         for algo in canonical:
             run = ALGORITHMS[algo]
             total_ns = 0
-            iterations = 0
-            while total_ns < min_ns or iterations < min_iterations:
+            times = []
+            while total_ns < min_ns or len(times) < min_iterations:
                 work = list(values)
                 t0 = time.perf_counter_ns()
                 run(work, operator.lt, None)
-                total_ns += time.perf_counter_ns() - t0
-                iterations += 1
+                times.append(time.perf_counter_ns() - t0)
+                total_ns += times[-1]
             metrics = Metrics()
             run(list(values), counting_ordering(operator.lt, metrics), metrics)
             nlog2n = spec.n * math.log2(spec.n) if spec.n >= 2 else 0.0
@@ -138,9 +139,9 @@ def run_benchmark(
                     element_type=spec.element_type,
                     n=spec.n,
                     seed=spec.seed,
-                    iterations=iterations,
+                    iterations=len(times),
                     total_ns=total_ns,
-                    ns_per_nlog2n=total_ns / (iterations * nlog2n) if nlog2n else 0.0,
+                    ns_per_nlog2n=statistics.median(times) / nlog2n if nlog2n else 0.0,
                     input_hash=digest,
                     metrics=metrics,
                 )

@@ -10,7 +10,7 @@ a value near their minimum at every level. Equal-to-predecessor pivots
 dispatch to partition_left, whose left partition needs no more work;
 otherwise partition_right runs, or block_partition_right when
 ``SortConfig.use_block_partition`` is set (off by default: under CPython
-the block layout is slower, see the README).
+the block algorithm is slower than the scalar one, see the README).
 A partition leaving either side smaller than 2**-BAD_PARTITION_SHIFT of
 the range is *bad*: it costs one unit of the log2(n) budget and the pivot
 candidates of both children are swapped with quartile elements to break
@@ -48,13 +48,11 @@ from .small_sorts import heapsort, insertion_sort, partial_insertion_sort, sort3
 unguarded_insertion_sort = insertion_sort
 
 # The paper's tuning numbers, constants as in the reference pdqsort.h
-# (the block size is partition.DEFAULT_BLOCK_SIZE).
+# (the block size and the partial insertion limit sit beside their kernels).
 # Ranges shorter than this are insertion sorted.
 INSERTION_THRESHOLD = 24
 # Ranges longer than this take the ninther as their pivot.
 NINTHER_THRESHOLD = 128
-# Corrections the optimistic partial insertion sort makes before giving up.
-PARTIAL_INSERTION_BUDGET = 8
 # A partition is bad when a side holds less than 2**-3 = 1/8 of the range.
 BAD_PARTITION_SHIFT = 3
 
@@ -268,10 +266,8 @@ def _sort_range(
                     # that may be nearly sorted. The right side is tried
                     # only if the left one finished.
                     sides_sorted = partial_insertion_sort(
-                        data, begin, pivot_pos, lt, PARTIAL_INSERTION_BUDGET, metrics
-                    ) and partial_insertion_sort(
-                        data, pivot_pos + 1, end, lt, PARTIAL_INSERTION_BUDGET, metrics
-                    )
+                        data, begin, pivot_pos, lt, metrics
+                    ) and partial_insertion_sort(data, pivot_pos + 1, end, lt, metrics)
 
                 if not sides_sorted:
                     # The larger side waits, with its own copy of the

@@ -27,6 +27,10 @@ from typing import MutableSequence
 from .inline import inline_lt
 from .partition import Ordering
 
+# Corrections the optimistic partial insertion sort makes before giving
+# up, as partial_insertion_sort_limit in the reference pdqsort.h.
+PARTIAL_INSERTION_BUDGET = 8
+
 
 @inline_lt
 def insertion_sort(
@@ -95,30 +99,27 @@ def partial_insertion_sort(
     begin: int,
     end: int,
     lt: Ordering,
-    budget: int,
     metrics=None,
 ) -> bool:
-    """Insertion sort that gives up after ``budget`` corrections.
+    """Insertion sort that gives up after ``PARTIAL_INSERTION_BUDGET`` corrections.
 
     Each out-of-place element is lifted once, the sorted prefix is shifted
     to open a hole, and the element is dropped once -- no pairwise swaps.
     One correction is one lifted element (one hole-shift cycle), whatever
     the shift distance. Returns True iff the range is fully sorted on
     return; on False the range is left as a valid permutation with a
-    sorted prefix, and exactly ``budget + 1`` corrections were counted
-    when the abort happened (the last one is not performed). A call
-    that passes the budget check adds one to ``partial_insertion_attempts``,
-    and a call that returns False one to ``partial_insertion_aborts``.
+    sorted prefix, and exactly ``PARTIAL_INSERTION_BUDGET + 1``
+    corrections were counted when the abort happened (the last one is not
+    performed). Every call adds one to ``partial_insertion_attempts``, and
+    a call that returns False one to ``partial_insertion_aborts``.
     """
-    if budget < 0:
-        raise ValueError("correction budget must be non-negative")
     if metrics is not None:
         metrics.partial_insertion_attempts += 1
     corrections = 0
     for i in range(begin + 1, end):
         if lt(data[i], data[i - 1]):
             corrections += 1
-            if corrections > budget:
+            if corrections > PARTIAL_INSERTION_BUDGET:
                 if metrics is not None:
                     metrics.partial_insertion_aborts += 1
                 return False

@@ -92,30 +92,25 @@ def variant(kernel, prepare, *extra):
     return Row(kernel, prepare, call)
 
 
-def unbounded(data, begin, end, lt, metrics):
-    # A range of n elements needs at most n - 1 corrections.
-    return partial_insertion_sort(data, begin, end, lt, end - begin, metrics)
-
-
 def median_of_3(data, begin, end, lt, metrics):
     sort3(data, begin + (end - begin) // 2, begin, end - 1, lt, metrics)
 
 
 # The raise-at-call-k sweeps run each row on inputs of 40 and 41
 # elements; the four-way test on inputs of 2 to 200, on both sides of
-# NINTHER_THRESHOLD (128). Budgets 0 and 8 make partial insertion abort.
-# A bare block_partition_right runs blocks of 4, a bare
-# partial_insertion_sort a budget no range exhausts, and
-# insertion_sort_begin_1 a range behind a least element.
+# NINTHER_THRESHOLD (128), where partial_insertion_sort both finishes
+# and gives up at its fixed limit of 8. A bare block_partition_right runs
+# blocks of 4. insertion_sort_begin_1 and partial_insertion_sort/8 run a
+# range behind a least element, as the sort loop hands over every range
+# that does not begin at 0.
 KERNELS = {
     "partition_right": variant(partition_right, pivot_first),
     "partition_left": variant(partition_left, equal_predecessor),
     "block_partition_right/2": variant(block_partition_right, pivot_first, 2),
     "block_partition_right": variant(block_partition_right, pivot_first, 4),
     "block_partition_right/64": variant(block_partition_right, pivot_first, DEFAULT_BLOCK_SIZE),
-    "partial_insertion_sort/0": variant(partial_insertion_sort, whole, 0),
-    "partial_insertion_sort/8": variant(partial_insertion_sort, whole, 8),
-    "partial_insertion_sort": Row(partial_insertion_sort, whole, unbounded),
+    "partial_insertion_sort": variant(partial_insertion_sort, whole),
+    "partial_insertion_sort/8": variant(partial_insertion_sort, behind_predecessor),
     "insertion_sort": variant(insertion_sort, whole),
     "insertion_sort_begin_1": variant(insertion_sort, behind_predecessor),
     "heapsort": variant(heapsort, whole),

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -108,6 +109,25 @@ class TestRunBenchmark:
     def test_unknown_algo_raises(self):
         with pytest.raises(UsageError):
             run_benchmark(["nope"], [DistributionSpec("asc", 8)], **FLOORS)
+
+    def test_reports_the_median_sort(self, monkeypatch):
+        # The first of five timed sorts sleeps 50 ms, as one sort slowed by
+        # a loaded machine: their mean is at least 10 ms, their median is
+        # one of the four fast ones.
+        calls = []
+
+        def slow_once(values, lt, metrics):
+            if not calls:
+                time.sleep(0.05)
+            calls.append(None)
+            values.sort()
+
+        monkeypatch.setitem(ALGORITHMS, "slow_once", slow_once)
+        spec = DistributionSpec("uniform", 64, "int64", seed=1)
+        (record,) = run_benchmark(["slow_once"], [spec], min_time=0.0, min_iterations=5)
+        assert record.iterations == 5
+        assert record.total_ns >= 50_000_000
+        assert record.ns_per_nlog2n * 64 * math.log2(64) < 5_000_000
 
     def test_n_below_two_has_zero_normalization(self):
         (record,) = run_benchmark(["pdq"], [DistributionSpec("asc", 1)], **FLOORS)

@@ -26,7 +26,7 @@ from pdqsort import (
     sort,
     sort_with,
 )
-from pdqsort import driver
+from pdqsort import driver, small_sorts
 from pdqsort.acceptance import _toggle_configs
 from pdqsort.bench import BLOCK_CONFIG
 from pdqsort.instrumentation import adversary_input
@@ -52,7 +52,7 @@ class TestSortConfig:
         assert DEFAULT_CONFIG.use_partial_insertion
         assert driver.INSERTION_THRESHOLD == 24
         assert driver.NINTHER_THRESHOLD == 128
-        assert driver.PARTIAL_INSERTION_BUDGET == 8
+        assert small_sorts.PARTIAL_INSERTION_BUDGET == 8
         assert DEFAULT_BLOCK_SIZE == 64
         assert driver.BAD_PARTITION_SHIFT == 3
 

@@ -4,7 +4,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdqsort import (
@@ -17,6 +17,7 @@ from pdqsort import (
     unguarded_insertion_sort,
 )
 from pdqsort.acceptance import _TracingList
+from pdqsort.small_sorts import PARTIAL_INSERTION_BUDGET
 
 
 def classic_insertion_oracle(arr):
@@ -159,13 +160,13 @@ class TestPartialInsertionSort:
     def test_already_sorted_needs_no_corrections(self):
         work = [1, 2, 3, 4]
         m = Metrics()
-        assert partial_insertion_sort(work, 0, 4, operator.lt, 8, m) is True
+        assert partial_insertion_sort(work, 0, 4, operator.lt, m) is True
         assert work == [1, 2, 3, 4]
         assert m.element_moves == 0
 
     def test_one_correction_within_budget(self):
         work = [1, 3, 2, 4]
-        assert partial_insertion_sort(work, 0, 4, operator.lt, 8) is True
+        assert partial_insertion_sort(work, 0, 4, operator.lt) is True
         assert work == [1, 2, 3, 4]
 
     def test_reversed_64_aborts(self):
@@ -174,36 +175,26 @@ class TestPartialInsertionSort:
         _, lifts, _ = classic_insertion_oracle(list(range(63, -1, -1)))
         assert lifts == 63
         work = list(range(63, -1, -1))
-        assert partial_insertion_sort(work, 0, 64, operator.lt, 8) is False
+        assert partial_insertion_sort(work, 0, 64, operator.lt) is False
         assert sorted(work) == list(range(64))
-
-    def test_budget_zero(self):
-        assert partial_insertion_sort([1, 2, 3], 0, 3, operator.lt, 0) is True
-        assert partial_insertion_sort([2, 1], 0, 2, operator.lt, 0) is False
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            partial_insertion_sort([1], 0, 1, operator.lt, -1)
 
     def test_counts_its_attempts_and_aborts(self):
         for arr, counts in (([1, 2, 3, 4], (1, 0)), (list(range(63, -1, -1)), (1, 1))):
             m = Metrics()
-            partial_insertion_sort(arr, 0, len(arr), operator.lt, 8, m)
+            partial_insertion_sort(arr, 0, len(arr), operator.lt, m)
             assert (m.partial_insertion_attempts, m.partial_insertion_aborts) == counts
-        m = Metrics()
-        with pytest.raises(ValueError):
-            partial_insertion_sort([1], 0, 1, operator.lt, -1, m)
-        assert (m.partial_insertion_attempts, m.partial_insertion_aborts) == (0, 0)
 
-    @given(st.lists(st.integers(0, 20), max_size=50), st.integers(0, 12))
+    @given(st.lists(st.integers(0, 20), max_size=50))
+    @example([1, 0] * PARTIAL_INSERTION_BUDGET)
+    @example([1, 0] * (PARTIAL_INSERTION_BUDGET + 1))
     @settings(max_examples=200)
-    def test_true_iff_within_budget(self, arr, budget):
+    def test_true_iff_within_budget(self, arr):
         # The oracle counts the lifts a full insertion sort would do; the
         # partial sort must succeed exactly when that count fits.
         _, lifts, _ = classic_insertion_oracle(arr)
         work = list(arr)
-        result = partial_insertion_sort(work, 0, len(work), operator.lt, budget)
-        assert result == (lifts <= budget)
+        result = partial_insertion_sort(work, 0, len(work), operator.lt)
+        assert result == (lifts <= PARTIAL_INSERTION_BUDGET)
         if result:
             assert work == sorted(arr)
         else:
@@ -312,10 +303,10 @@ class TestSort3:
 
 
 def test_every_small_sort_matches_oracle_exhaustively():
-    # All arrays of length <= 8 over {0,1,2} (partial budget high enough
-    # to always succeed, so every routine must fully sort). The leaf
-    # kernel also sorts a range behind a predecessor greater than all of
-    # it, and leaves the predecessor alone.
+    # All arrays of length <= 8 over {0,1,2} (at most 7 corrections, within
+    # the partial insertion budget, so every routine must fully sort). The
+    # leaf kernel also sorts a range behind a predecessor greater than all
+    # of it, and leaves the predecessor alone.
     for length in range(0, 9):
         for arr in itertools.product(range(3), repeat=length):
             expected = sorted(arr)
@@ -326,7 +317,7 @@ def test_every_small_sort_matches_oracle_exhaustively():
             heapsort(work, 0, length, operator.lt)
             assert work == expected
             work = list(arr)
-            assert partial_insertion_sort(work, 0, length, operator.lt, 100)
+            assert partial_insertion_sort(work, 0, length, operator.lt)
             assert work == expected
             work = [3] + list(arr)
             insertion_sort(work, 1, length + 1, operator.lt)
