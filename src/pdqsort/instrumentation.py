@@ -85,6 +85,10 @@ def instrumented_sort(
     return metrics
 
 
+class _AnswersFixed(Exception):
+    """Raised by the adversary's relation once a single gas value is left."""
+
+
 def adversary_input(n: int) -> list:
     """A permutation of 0..n-1 crafted against the deterministic pivot rule.
 
@@ -95,7 +99,14 @@ def adversary_input(n: int) -> list:
     drags every partition toward the unbalanced side. Pinned values only
     grow, so each answer given during construction also holds under the
     final frozen values: replaying the frozen array through the default
-    configuration reproduces the construction run exactly.
+    configuration makes the construction run's comparisons, in order.
+
+    The construction stops at the pin that leaves one gas value, which
+    takes n-1. The rest of the run could not change the result: a
+    comparison pins only when both values are gas, so from there on the
+    relation only answers, as the final values do. Nor does a run ever
+    end with two gas values left: they would be the two largest, and a
+    correct sort must compare those, which pins one of them.
     """
     if n < 1:
         raise ValueError("adversary needs n >= 1")
@@ -114,18 +125,17 @@ def adversary_input(n: int) -> list:
             else:
                 values[y] = vy = next_solid
             next_solid += 1
+            if next_solid == n - 1:
+                raise _AnswersFixed
         if vx == gas:
             candidate = x
         elif vy == gas:
             candidate = y
         return vx < vy
 
-    order = list(range(n))
-    _sort_range(order, pinning, DEFAULT_CONFIG)
-    # Anything never forced solid is pinned in final arrangement order,
-    # a consistent refinement of the revealed ordering.
-    for idx in order:
-        if values[idx] == gas:
-            values[idx] = next_solid
-            next_solid += 1
+    try:
+        _sort_range(list(range(n)), pinning, DEFAULT_CONFIG)
+    except _AnswersFixed:
+        pass
+    values[values.index(gas)] = n - 1
     return values
