@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from .bench import (
@@ -40,7 +41,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_list(text: str) -> list:
-    return [part.strip() for part in text.split(",") if part.strip()]
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise UsageError(f"empty list: {text!r}")
+    return parts
 
 
 def _parse_sizes(text: str) -> list:
@@ -63,8 +67,6 @@ def _parse_sizes(text: str) -> list:
             if v < 0:
                 raise UsageError(f"bad size: {part!r}")
             sizes.append(v)
-    if not sizes:
-        raise UsageError("no sizes given")
     return sizes
 
 
@@ -72,12 +74,17 @@ def _parse_duration(text: str) -> float:
     t = text.strip()
     try:
         if t.endswith("ms"):
-            return float(t[:-2]) / 1000.0
-        if t.endswith("s"):
-            return float(t[:-1])
-        return float(t)
+            seconds = float(t[:-2]) / 1000.0
+        elif t.endswith("s"):
+            seconds = float(t[:-1])
+        else:
+            seconds = float(t)
     except ValueError:
-        raise UsageError(f"bad duration: {text!r}") from None
+        pass
+    else:
+        if math.isfinite(seconds) and seconds >= 0:
+            return seconds
+    raise UsageError(f"bad duration: {text!r}")
 
 
 def _build_parser() -> _Parser:

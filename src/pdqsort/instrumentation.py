@@ -20,7 +20,8 @@ class Metrics:
     """Counters accumulated by one sort.
 
     ``comparisons`` counts ordering-relation calls; ``exchanges`` counts
-    two-element swaps (one resolved pair per block-round entry);
+    two-element swaps (in the block kernel, one per misplaced pair and one
+    per leftover the drain moves next to the boundary);
     ``element_moves`` counts single-element relocations (insertion-sort
     hole shifting, pivot placement, and in heapsort each lift of the
     element to sift, each hole fill and each drop; heapsort makes no

@@ -72,28 +72,10 @@ class TestRunBenchmark:
         assert record.ns_per_nlog2n > 0
         assert record.algo == "pdq"
 
-    def test_counters_deterministic_across_runs(self):
-        specs = [
-            DistributionSpec("uniform", 512, "int64", seed=3),
-            DistributionSpec("mod8", 512, "str", seed=3),
-        ]
-        first = run_benchmark(["pdq", "bpdq", "baseline", "heapsort"], specs, **FLOORS)
-        second = run_benchmark(["pdq", "bpdq", "baseline", "heapsort"], specs, **FLOORS)
-        for a, b in zip(first, second):
-            assert a.metrics == b.metrics
-            assert a.input_hash == b.input_hash
-
     def test_input_hash_matches_datagen(self):
         spec = DistributionSpec("dupsq", 300, "int64", seed=5)
         (record,) = run_benchmark(["heapsort"], [spec], **FLOORS)
         assert record.input_hash == array_digest(generate(spec))
-
-    def test_all_algos_populate_driver_counters(self):
-        spec = DistributionSpec("uniform", 2048, "int64", seed=7)
-        for record in run_benchmark(["pdq", "bpdq", "baseline"], [spec], **FLOORS):
-            assert record.metrics.comparisons > 0, record.algo
-            assert record.metrics.partition_right_calls > 0, record.algo
-            assert record.metrics.max_depth > 0, record.algo
 
     def test_duplicate_distribution_beats_baseline(self):
         # The equal-element handling pays off on one-value input.

@@ -82,10 +82,20 @@ class TestBench:
             ["--sizes", "abc"],
             ["--min-time", "fast"],
             ["--min-iters", "0"],
+            ["--algos", ","],
+            ["--dists", ""],
+            ["--types", " "],
+            ["--min-time", "nan"],
+            ["--min-time", "inf"],
+            ["--min-time", "1e400"],
+            ["--min-time=-1s"],
         ],
     )
     def test_usage_errors_exit_1(self, tmp_path, flags, capsys):
-        rc = main(["bench", "--out", str(tmp_path / "x.csv")] + FAST + flags)
+        # One small cell, so that a flag taken as valid does not run the
+        # default matrix; each case overrides the flag it tests.
+        small = ["--dists", "asc", "--sizes", "8"]
+        rc = main(["bench", "--out", str(tmp_path / "x.csv")] + small + FAST + flags)
         assert rc == 1
         assert "pdqsort: error: " in capsys.readouterr().err
 
@@ -132,7 +142,8 @@ class TestSlowdown:
         assert main(["slowdown", "--p", "1.5"]) == 1
 
     def test_garbage_p_exits_1(self, capsys):
-        assert main(["slowdown", "--p", "zero"]) == 1
+        for p in ("zero", ",", ""):
+            assert main(["slowdown", "--p", p]) == 1, p
 
 
 class TestVerify:

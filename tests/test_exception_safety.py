@@ -198,7 +198,9 @@ def coin(seed):
 INCONSISTENT = {
     "coin": coin,
     "always_true": lambda seed: lambda a, b: True,
+    "always_false": lambda seed: lambda a, b: False,
     "not_equal": lambda seed: operator.ne,
+    "le": lambda seed: operator.le,
 }
 FUZZ_SIZES = (0, 1, 2, 5, 23, 24, 25, 100, 300, 2000)
 

@@ -96,20 +96,15 @@ class TestBlockPartitionRight:
         res = block_partition_right(work, 0, 3, operator.lt, DEFAULT_BLOCK_SIZE)
         assert res.pivot_index == 1
 
-    def test_exhaustive_vs_scalar(self):
+    def test_exhaustive_odd_block_sizes(self):
+        # Criterion 2 holds blocks of 64 and 2 to the contract on the same
+        # arrays; this adds the smallest block and an odd one.
         for arr in small_arrays():
             prepared = _prepare_pivot(arr)
-            scalar = list(prepared)
-            res_s = partition_right(scalar, 0, len(arr), operator.lt)
-            for block_size in (1, 2, 3, 64):
+            for block_size in (1, 3):
                 blocked = list(prepared)
-                res_b = block_partition_right(blocked, 0, len(arr), operator.lt, block_size)
-                assert _right_contract_problem(prepared, blocked, res_b) is None
-                assert res_b.pivot_index == res_s.pivot_index
-                assert sorted(blocked[: res_b.pivot_index]) == sorted(scalar[: res_s.pivot_index])
-                assert sorted(blocked[res_b.pivot_index + 1 :]) == sorted(
-                    scalar[res_s.pivot_index + 1 :]
-                )
+                res = block_partition_right(blocked, 0, len(arr), operator.lt, block_size)
+                assert _right_contract_problem(prepared, blocked, res) is None
 
     def test_multi_block_comparison_count(self):
         # 300 elements forces several 64-element blocks plus a tail; the
@@ -155,6 +150,8 @@ class TestBlockPartitionRight:
 @given(st.lists(st.integers(0, 9), min_size=2, max_size=200), st.integers(1, 80))
 @settings(max_examples=300, deadline=None)
 def test_block_scalar_equivalence_property(arr, block_size):
+    # The contract fixes the pivot index and each side's multiset, so two
+    # kernels that both meet it agree.
     prepared = _prepare_pivot(arr)
     scalar = list(prepared)
     res_s = partition_right(scalar, 0, len(scalar), operator.lt)
@@ -162,8 +159,6 @@ def test_block_scalar_equivalence_property(arr, block_size):
     res_b = block_partition_right(blocked, 0, len(blocked), operator.lt, block_size)
     assert _right_contract_problem(prepared, blocked, res_b) is None
     assert _right_contract_problem(prepared, scalar, res_s) is None
-    assert res_b.pivot_index == res_s.pivot_index
-    assert sorted(blocked[: res_b.pivot_index]) == sorted(scalar[: res_s.pivot_index])
 
 
 def test_rerunning_swapless_partition_exchanges_nothing():
