@@ -23,10 +23,11 @@ from .bench import (
     CSV_COLUMNS,
     UsageError,
     format_text_tables,
+    resolve_algo,
     run_benchmark,
     slowdown_table,
 )
-from .datagen import DISTRIBUTION_KINDS, DistributionSpec, generate, write_array
+from .datagen import DISTRIBUTION_KINDS, ELEMENT_TYPES, DistributionSpec, generate, write_array
 
 DEFAULT_SIZES = "1024..1048576:4"
 DEFAULT_SEED = 0xDE5C
@@ -40,11 +41,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_list(text: str) -> list:
+def _parse_list(text: str, choices=None) -> list:
+    """Comma list of names, each one of ``choices`` if given."""
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
         raise UsageError(f"empty list: {text!r}")
+    for part in parts:
+        if choices is not None and part not in choices:
+            raise UsageError(f"unknown name: {part!r} (choose from {', '.join(choices)})")
     return parts
+
+
+def _flag(flag: str, parse, text: str, *args):
+    """``parse(text, *args)``; a ValueError from it is a usage error that
+    names ``flag``."""
+    try:
+        return parse(text, *args)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _parse_sizes(text: str) -> list:
@@ -120,19 +134,20 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        specs = [
-            DistributionSpec(kind, n, etype, seed=args.seed)
-            for etype in _parse_list(args.types)
-            for kind in _parse_list(args.dists)
-            for n in _parse_sizes(args.sizes)
-        ]
-    except ValueError as exc:  # a bad type, kind or size; nothing has sorted yet
-        raise UsageError(str(exc)) from None
-    min_time = _parse_duration(args.min_time)
+    algos = _flag("--algos", lambda text: [resolve_algo(a) for a in _parse_list(text)], args.algos)
+    etypes = _flag("--types", _parse_list, args.types, ELEMENT_TYPES)
+    kinds = _flag("--dists", _parse_list, args.dists, DISTRIBUTION_KINDS)
+    sizes = _flag("--sizes", _parse_sizes, args.sizes)
+    specs = [
+        DistributionSpec(kind, n, etype, seed=args.seed)
+        for etype in etypes
+        for kind in kinds
+        for n in sizes
+    ]
+    min_time = _flag("--min-time", _parse_duration, args.min_time)
     if args.min_iters < 1:
-        raise UsageError("--min-iters must be >= 1")
-    records = run_benchmark(_parse_list(args.algos), specs, min_time, args.min_iters)
+        raise UsageError("--min-iters: must be >= 1")
+    records = run_benchmark(algos, specs, min_time, args.min_iters)
 
     def write(out):
         writer = csv.writer(out, lineterminator="\n")
@@ -165,11 +180,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_slowdown(args) -> int:
-    try:
-        ps = [float(p) for p in _parse_list(args.p)]
-    except ValueError:
-        raise UsageError(f"bad fraction list: {args.p!r}") from None
-    rows = slowdown_table(ps)
+    rows = _flag("--p", lambda text: slowdown_table([float(p) for p in _parse_list(text)]), args.p)
     print(f"{'p':>10} {'slowdown':>12}")
     for p, factor in rows:
         print(f"{p:>10.6g} {factor:>12.6f}")

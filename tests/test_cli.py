@@ -93,11 +93,13 @@ class TestBench:
     )
     def test_usage_errors_exit_1(self, tmp_path, flags, capsys):
         # One small cell, so that a flag taken as valid does not run the
-        # default matrix; each case overrides the flag it tests.
+        # default matrix; each case overrides the flag it tests, and the
+        # error names it.
         small = ["--dists", "asc", "--sizes", "8"]
         rc = main(["bench", "--out", str(tmp_path / "x.csv")] + small + FAST + flags)
         assert rc == 1
-        assert "pdqsort: error: " in capsys.readouterr().err
+        flag = flags[0].split("=")[0]
+        assert f"pdqsort: error: {flag}: " in capsys.readouterr().err
 
 
 class TestGen:

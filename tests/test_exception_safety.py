@@ -1,4 +1,5 @@
-"""Whatever the ordering does, the list stays a permutation of its input.
+"""Whatever the ordering does, short of writing to the list, the list
+stays a permutation of its input.
 
 Each raising test sweeps the call at which the ordering raises and checks
 that the exception reaches the caller and that the list is still a
@@ -9,7 +10,8 @@ allow ``ValueError`` as the only exception: a partition scan that runs
 past its sentinel is reported as an ordering that is not a strict weak
 ordering. The insertion sorts and heapsort scan only their range, and
 raise nothing. An ordering that resizes the list gets a ``ValueError``
-of its own.
+of its own. One that writes to the list without resizing it can lose
+an element with no error, and a test pins that.
 
 The ordering reaches the sort along one of two paths. On the relation
 path it is passed as ``lt``. On the inline path each element carries it
@@ -342,6 +344,24 @@ def test_ordering_that_reads_the_list_still_sorts(inline):
     work, ordering = touching(inline, arr, range(1, 10**6), list.copy)
     sort_with(work, ordering)
     assert [getattr(v, "value", v) for v in work] == sorted(arr)
+
+
+def swap_ends(data):
+    data[0], data[-1] = data[-1], data[0]
+
+
+@pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
+def test_ordering_that_writes_to_the_list_may_lose_an_element(inline):
+    # As the README warns, a kernel holds an element in a local from its
+    # read to its store, and that store overwrites a write made in
+    # between; the length check sees only a resize. The sort returns with
+    # no error. If it ever raises here or keeps every element, the README
+    # changes with this test.
+    arr = random.Random(1).sample(range(2000), 2000)
+    work, ordering = touching(inline, arr, {500}, swap_ends)
+    before = list(work)
+    sort_with(work, ordering)
+    assert not same_elements(work, before)
 
 
 @pytest.mark.parametrize("inline", (False, True), ids=("relation", "inline"))
