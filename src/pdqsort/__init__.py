@@ -55,7 +55,6 @@ from .small_sorts import (
     heapsort,
     insertion_sort,
     partial_insertion_sort,
-    sort3,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from .datagen import DISTRIBUTION_KINDS, DistributionSpec, SplitMix64, generate
 from .driver import DEFAULT_CONFIG, SortConfig, sort_with
 from .instrumentation import Metrics, adversary_input, counting_ordering, instrumented_sort
 from .partition import DEFAULT_BLOCK_SIZE, block_partition_right, partition_left, partition_right
-from .small_sorts import sort3
 
 TOGGLE_FIELDS = tuple(f.name for f in fields(SortConfig))
 
@@ -118,7 +117,7 @@ class _TracingList(list):
 
 
 def _prepare_pivot(arr):
-    # The driver's estimate before its quartile guard: median of (middle,
+    # The driver's estimate without its quartile guard: median of (middle,
     # first, last) moved to the front. Two-element ranges have no median
     # of three; ordering the pair is the minimal preparation that leaves
     # a sentinel >= pivot.
@@ -127,7 +126,7 @@ def _prepare_pivot(arr):
         if work[1] < work[0]:
             work[0], work[1] = work[1], work[0]
     else:
-        sort3(work, len(work) // 2, 0, len(work) - 1, operator.lt)
+        driver.choose_pivot(work, 0, len(work), operator.lt, False)
     return work
 
 
@@ -138,7 +137,8 @@ def _first_failed(*checks):
 
 def _right_contract_problem(before, work, res):
     """How a right kernel's output ``work`` breaks its contract, or None."""
-    r, pv = res.pivot_index, before[0]
+    r, no_swaps = res
+    pv = before[0]
     # A swapless report must mean the input was untouched apart from pivot
     # placement; undoing it re-partitions for free.
     undone = list(work)
@@ -148,7 +148,7 @@ def _right_contract_problem(before, work, res):
         (all(x < pv for x in work[:r]), "left partition not strictly below pivot"),
         (all(x >= pv for x in work[r + 1 :]), "right partition below pivot"),
         (Counter(work) == Counter(before), "not a permutation"),
-        (undone == before or not res.no_swaps, "no_swaps despite rearrangement"),
+        (undone == before or not no_swaps, "no_swaps despite rearrangement"),
     )
 
 
@@ -165,7 +165,7 @@ def _oracle_problem(arr):
     res = partition_right(scalar, 0, length, counting_ordering(operator.lt, m), m)
     problem = _right_contract_problem(prepared, scalar, res) or _first_failed(
         (length - 1 <= m.comparisons <= length + 1, "scan count off"),
-        (m.exchanges == 0 or not res.no_swaps, "no_swaps despite exchanges"),
+        (m.exchanges == 0 or not res[1], "no_swaps despite exchanges"),
     )
     if problem:
         return f"partition_right: {problem}"
@@ -181,13 +181,12 @@ def _oracle_problem(arr):
     lo = min(arr)
     if arr[0] == lo:
         left = _TracingList(arr)
-        res = partition_left(left, 0, length, operator.lt)
-        r = res.pivot_index
+        r, no_swaps = partition_left(left, 0, length, operator.lt)
         problem = _first_failed(
             (all(x == lo for x in left[: r + 1]), "left partition not all equal"),
             (all(x > lo for x in left[r + 1 :]), "right partition not above pivot"),
             (Counter(left) == Counter(arr), "not a permutation"),
-            (not res.no_swaps, "reported no_swaps"),
+            (not no_swaps, "reported no_swaps"),
         )
         if problem:
             return f"partition_left: {problem}"

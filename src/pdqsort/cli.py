@@ -41,14 +41,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _parse_name(text: str, choices) -> str:
+    """One of ``choices``."""
+    if text not in choices:
+        raise UsageError(f"unknown name: {text!r} (choose from {', '.join(choices)})")
+    return text
+
+
 def _parse_list(text: str, choices=None) -> list:
     """Comma list of names, each one of ``choices`` if given."""
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
         raise UsageError(f"empty list: {text!r}")
-    for part in parts:
-        if choices is not None and part not in choices:
-            raise UsageError(f"unknown name: {part!r} (choose from {', '.join(choices)})")
+    if choices is not None:
+        for part in parts:
+            _parse_name(part, choices)
     return parts
 
 
@@ -166,10 +173,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = DistributionSpec(args.kind, args.n, args.element_type, seed=args.seed)
-    except ValueError as exc:  # a bad kind, type or size
-        raise UsageError(str(exc)) from None
+    kind = _flag("--kind", _parse_name, args.kind, DISTRIBUTION_KINDS)
+    etype = _flag("--type", _parse_name, args.element_type, ELEMENT_TYPES)
+    # With both names valid, a negative size is the one error left.
+    spec = _flag("--n", lambda n: DistributionSpec(kind, n, etype, seed=args.seed), args.n)
     values = generate(spec)
     if args.out == "-":
         write_array(sys.stdout, spec, values)

@@ -18,7 +18,11 @@ the pattern. A swapless, non-bad partition triggers an optimistic partial
 insertion sort over both sides that finishes nearly-sorted inputs in
 linear time. The loop goes on with the smaller side of each partition
 and keeps the larger on an explicit stack of pending ranges, so at most
-about log2(n) ranges wait at any time, in a few tuples of ints.
+about log2(n) ranges wait at any time, in a few tuples of ints. A
+partitioned range costs the loop two calls, unless a pattern break or a
+partial insertion sort is due: choose_pivot, which sorts its samples in
+its own frame, and the partition kernel, whose uncounted branch returns
+a plain ``(pivot_index, no_swaps)`` pair.
 
 The whole sort is deterministic: identical input and config give an
 identical output permutation and identical instrumentation counters.
@@ -38,7 +42,7 @@ from .partition import (
     partition_left,
     partition_right,
 )
-from .small_sorts import heapsort, insertion_sort, partial_insertion_sort, sort3
+from .small_sorts import heapsort, insertion_sort, partial_insertion_sort
 
 # A second name for the one leaf kernel. The sort loop calls only
 # ``insertion_sort``; the benchmark's layer tracer and kernel replays
@@ -93,7 +97,11 @@ def choose_pivot(
     The estimate of small ranges is the median of (middle, first, last);
     sorting that triple with the middle position first leaves it at the
     front. Large ranges take the ninther: three triples are sorted, then
-    the triple of their medians, which leaves it in the middle.
+    the triple of their medians, which leaves it in the middle. Each
+    triple is sorted by the compare-exchange network of ``sort3`` in the
+    reference ``pdqsort.h``, at most 3 comparisons and 3 exchanges,
+    written out in this frame rather than called, as the C++ compiler
+    inlines it.
 
     With ``guard`` set (the driver passes ``use_break_patterns``), the
     pivot is the median of the estimate and the quartile elements at
@@ -112,20 +120,85 @@ def choose_pivot(
     """
     size = end - begin
     mid = begin + size // 2
+    # Each network orders the values at the positions (low, slot, high),
+    # which leaves their median at slot. Those indices are the only objects
+    # pivot selection allocates, and the sort's memory peak can fall here,
+    # so at most three are alive at once: the stores free an old index
+    # before each new one past the third, the first del clears the second
+    # triple, which shares no index with the third, and the second clears
+    # the last network's indices before the guard makes its own.
     if size > NINTHER_THRESHOLD:
-        sort3(data, begin, mid, end - 1, lt, metrics)
-        sort3(data, begin + 1, mid - 1, end - 2, lt, metrics)
-        sort3(data, begin + 2, mid + 1, end - 3, lt, metrics)
-        sort3(data, mid - 1, mid, mid + 1, lt, metrics)
+        low = begin
         slot = mid
+        high = end - 1
+        if lt(data[slot], data[low]):
+            data[low], data[slot] = data[slot], data[low]
+            if metrics is not None:
+                metrics.exchanges += 1
+        if lt(data[high], data[slot]):
+            data[slot], data[high] = data[high], data[slot]
+            if metrics is not None:
+                metrics.exchanges += 1
+            if lt(data[slot], data[low]):
+                data[low], data[slot] = data[slot], data[low]
+                if metrics is not None:
+                    metrics.exchanges += 1
+        high = end - 2
+        low = begin + 1
+        slot = mid - 1
+        if lt(data[slot], data[low]):
+            data[low], data[slot] = data[slot], data[low]
+            if metrics is not None:
+                metrics.exchanges += 1
+        if lt(data[high], data[slot]):
+            data[slot], data[high] = data[high], data[slot]
+            if metrics is not None:
+                metrics.exchanges += 1
+            if lt(data[slot], data[low]):
+                data[low], data[slot] = data[slot], data[low]
+                if metrics is not None:
+                    metrics.exchanges += 1
+        del low, slot, high
+        low = begin + 2
+        slot = mid + 1
+        high = end - 3
+        if lt(data[slot], data[low]):
+            data[low], data[slot] = data[slot], data[low]
+            if metrics is not None:
+                metrics.exchanges += 1
+        if lt(data[high], data[slot]):
+            data[slot], data[high] = data[high], data[slot]
+            if metrics is not None:
+                metrics.exchanges += 1
+            if lt(data[slot], data[low]):
+                data[low], data[slot] = data[slot], data[low]
+                if metrics is not None:
+                    metrics.exchanges += 1
+        slot = mid
+        low = mid - 1
+        high = mid + 1
     else:
-        sort3(data, mid, begin, end - 1, lt, metrics)
+        low = mid
         slot = begin
+        high = end - 1
+    if lt(data[slot], data[low]):
+        data[low], data[slot] = data[slot], data[low]
+        if metrics is not None:
+            metrics.exchanges += 1
+    if lt(data[high], data[slot]):
+        data[slot], data[high] = data[high], data[slot]
+        if metrics is not None:
+            metrics.exchanges += 1
+        if lt(data[slot], data[low]):
+            data[low], data[slot] = data[slot], data[low]
+            if metrics is not None:
+                metrics.exchanges += 1
+    del low, high
     if guard:
+        # The same comparisons over the quartiles and the estimate, moving
+        # no element: ``slot`` ends at the median's.
         low = begin + size // 4
         high = end - 1 - size // 4
-        # sort3's comparisons over the slots (low, slot, high), moving no
-        # element: ``slot`` ends at the median's.
         if lt(data[slot], data[low]):
             low, slot = slot, low
         if lt(data[high], data[slot]):

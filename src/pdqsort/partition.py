@@ -12,6 +12,10 @@ Three primitives over ``data[begin:end)`` with the pivot at ``data[begin]``:
   each block's misplaced elements are collected first, then exchanged
   pairwise.
 
+Each returns the pair ``(pivot_index, no_swaps)``: a plain tuple when
+uncounted, a :class:`PartitionResult` with named fields when handed a
+``Metrics``.
+
 All kernels assume the pivot was placed by a median-of-(at-least-)3
 selection, which guarantees an element >= pivot somewhere to its right;
 that element and previously scanned ones serve as sentinels, so the inner
@@ -44,14 +48,15 @@ DEFAULT_BLOCK_SIZE = 64
 
 
 class PartitionResult(tuple):
-    """Outcome of one partition call: the pair ``(pivot_index, no_swaps)``.
+    """Outcome of one counted partition call: the pair ``(pivot_index, no_swaps)``.
 
     ``pivot_index`` is relative to the start of the partitioned range.
     ``no_swaps`` is True iff no element pair was exchanged besides the
     final pivot placement; partition_left always reports False.
-    A plain tuple subclass, built by ``tuple``'s own constructor: the
-    driver unpacks one per partition, and the named fields serve
-    everyone else.
+    Only a kernel handed a ``Metrics`` builds one, for the readers of the
+    named fields that trace counted sorts; uncounted, each kernel returns
+    the same pair as a plain tuple, which the sort loop unpacks for a
+    fraction of the cost. Read a result by position to accept both.
     """
 
     __slots__ = ()
@@ -66,7 +71,7 @@ def partition_right(
     end: int,
     lt: Ordering,
     metrics=None,
-) -> PartitionResult:
+) -> tuple[int, bool]:
     """Partition so that [begin, r) < pivot, data[r] is the pivot, and
     (r, end) >= pivot, where r = begin + pivot_index."""
     pivot = data[begin]
@@ -122,7 +127,8 @@ def partition_right(
     if metrics is not None:
         metrics.partition_right_calls += 1
         metrics.element_moves += 2
-    return PartitionResult((pivot_pos - begin, no_swaps))
+        return PartitionResult((pivot_pos - begin, no_swaps))
+    return pivot_pos - begin, no_swaps
 
 
 @inline_lt
@@ -132,7 +138,7 @@ def partition_left(
     end: int,
     lt: Ordering,
     metrics=None,
-) -> PartitionResult:
+) -> tuple[int, bool]:
     """Partition so that [begin, r] <= pivot and (r, end) > pivot.
 
     The caller guarantees every element compares >= the range's
@@ -183,7 +189,8 @@ def partition_left(
     if metrics is not None:
         metrics.partition_left_calls += 1
         metrics.element_moves += 2
-    return PartitionResult((pivot_pos - begin, False))
+        return PartitionResult((pivot_pos - begin, False))
+    return pivot_pos - begin, False
 
 
 @inline_lt
@@ -194,7 +201,7 @@ def block_partition_right(
     lt: Ordering,
     block: int,
     metrics=None,
-) -> PartitionResult:
+) -> tuple[int, bool]:
     """Block-based partition_right; identical contract, different moves.
 
     Each round collects the misplaced positions of up to one block per
@@ -258,4 +265,5 @@ def block_partition_right(
         metrics.partition_right_calls += 1
         metrics.exchanges += swaps
         metrics.element_moves += 2
-    return PartitionResult((pivot_pos - begin, swaps == 0))
+        return PartitionResult((pivot_pos - begin, swaps == 0))
+    return pivot_pos - begin, swaps == 0

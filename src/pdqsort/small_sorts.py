@@ -6,8 +6,8 @@ Empty and single-element ranges are no-ops, never errors. If ``lt``
 raises (``KeyboardInterrupt`` included), the range is still a
 permutation of its input: the insertion sorts and heapsort drop each
 lifted element back into a hole on the way out (the pair insertion sort
-holds two lifted elements and two holes while it scans for the larger),
-and ``sort3`` only swaps. Every scan here stops at the ends of its
+holds two lifted elements and two holes while it scans for the larger).
+Every scan here stops at the ends of its
 range, so no kernel reads or writes outside it, whatever ``lt``
 answers. No kernel calls a function between the first store over a
 lifted element's slot and the ``try`` that drops the element, so a
@@ -212,30 +212,3 @@ def heapsort(
             # The lift and the drop, and a pop's move of the root.
             metrics.element_moves += 2 if i >= n else 3
 
-
-@inline_lt
-def sort3(
-    data: MutableSequence,
-    a: int,
-    b: int,
-    c: int,
-    lt: Ordering,
-    metrics=None,
-) -> None:
-    """Permute three positions so data[a] <= data[b] <= data[c].
-
-    At most 3 comparisons. Used for median-of-3 pivot selection; with
-    ``(a, b, c)`` = (middle, first, last) the median lands at the front.
-    """
-    if lt(data[b], data[a]):
-        data[a], data[b] = data[b], data[a]
-        if metrics is not None:
-            metrics.exchanges += 1
-    if lt(data[c], data[b]):
-        data[b], data[c] = data[c], data[b]
-        if metrics is not None:
-            metrics.exchanges += 1
-        if lt(data[b], data[a]):
-            data[a], data[b] = data[b], data[a]
-            if metrics is not None:
-                metrics.exchanges += 1

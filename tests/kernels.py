@@ -24,7 +24,6 @@ from pdqsort import (
     partial_insertion_sort,
     partition_left,
     partition_right,
-    sort3,
 )
 from pdqsort.acceptance import _prepare_pivot
 from pdqsort.partition import DEFAULT_BLOCK_SIZE
@@ -92,10 +91,6 @@ def variant(kernel, prepare, *extra):
     return Row(kernel, prepare, call)
 
 
-def median_of_3(data, begin, end, lt, metrics):
-    sort3(data, begin + (end - begin) // 2, begin, end - 1, lt, metrics)
-
-
 # The raise-at-call-k sweeps run each row on inputs of 40 and 41
 # elements; the four-way test on inputs of 2 to 200, on both sides of
 # NINTHER_THRESHOLD (128), where partial_insertion_sort both finishes
@@ -114,7 +109,6 @@ KERNELS = {
     "insertion_sort": variant(insertion_sort, whole),
     "insertion_sort_begin_1": variant(insertion_sort, behind_predecessor),
     "heapsort": variant(heapsort, whole),
-    "sort3": Row(sort3, whole, median_of_3),
     "choose_pivot": variant(choose_pivot, whole, True),
     "choose_pivot/unguarded": variant(choose_pivot, whole, False),
 }

@@ -38,13 +38,15 @@ def test_every_layer_is_a_driver_global_and_a_package_attribute():
 
 
 def test_every_partition_kernel_returns_a_named_partition_result():
-    # layers.py reads result.no_swaps of every result that is a
-    # PartitionResult; a plain tuple would zero partition.no_swaps_ratio.
+    # layers.py traces instrumented_sort, whose kernels run their counted
+    # branch, and reads result.no_swaps of every result that is a
+    # PartitionResult; a plain tuple there would zero
+    # partition.no_swaps_ratio. Uncounted, the kernels return plain pairs.
     results = {
-        "partition_right": pdqsort.partition_right([1, 0, 2], 0, 3, operator.lt),
-        "partition_left": pdqsort.partition_left([0, 0, 2], 1, 3, operator.lt),
+        "partition_right": pdqsort.partition_right([1, 0, 2], 0, 3, operator.lt, pdqsort.Metrics()),
+        "partition_left": pdqsort.partition_left([0, 0, 2], 1, 3, operator.lt, pdqsort.Metrics()),
         "block_partition_right": pdqsort.block_partition_right(
-            [1, 0, 2], 0, 3, operator.lt, pdqsort.partition.DEFAULT_BLOCK_SIZE
+            [1, 0, 2], 0, 3, operator.lt, pdqsort.partition.DEFAULT_BLOCK_SIZE, pdqsort.Metrics()
         ),
     }
     assert set(results) == set(LAYERS["partition"])

@@ -118,10 +118,15 @@ class TestGen:
 
     def test_unknown_kind_exits_1(self, capsys):
         assert main(["gen", "--kind", "zipf", "--n", "4"]) == 1
+        assert "pdqsort: error: --kind: unknown name: 'zipf' (choose from " in capsys.readouterr().err
+
+    def test_unknown_type_exits_1(self, capsys):
+        assert main(["gen", "--kind", "ones", "--n", "4", "--type", "int32"]) == 1
+        assert "pdqsort: error: --type: unknown name: 'int32' (choose from " in capsys.readouterr().err
 
     def test_negative_n_exits_1(self, capsys):
         assert main(["gen", "--kind", "ones", "--n", "-3"]) == 1
-        assert "pdqsort: error: n must be >= 0" in capsys.readouterr().err
+        assert "pdqsort: error: --n: n must be >= 0" in capsys.readouterr().err
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

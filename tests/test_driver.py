@@ -1,4 +1,5 @@
 import gc
+import itertools
 import operator
 import random
 import tracemalloc
@@ -67,6 +68,18 @@ class TestChoosePivot:
         work = [3, 3, 3]
         choose_pivot(work, 0, 3, operator.lt)
         assert work[0] == 3
+
+    def test_every_triple_is_sorted_median_first(self):
+        # The unguarded estimate of three elements is the sorting network
+        # over (middle, first, last): the median ends at the front, the
+        # least in the middle and the greatest last, ties included.
+        for arr in itertools.product(range(3), repeat=3):
+            work = list(arr)
+            m = Metrics()
+            choose_pivot(work, 0, 3, counting_ordering(operator.lt, m), False, m)
+            low, median, high = sorted(arr)
+            assert work == [median, low, high], arr
+            assert m.comparisons <= 3, arr
 
     def test_front_is_median_random(self):
         # The front is the median of the median of (first, middle, last)
@@ -139,9 +152,9 @@ class TestChoosePivot:
         undone[0], undone[mid] = undone[mid], undone[0]
         assert undone == list(range(n))
 
-        res = partition_right(work, 0, n, operator.lt)
-        assert res.no_swaps is True
-        assert res.pivot_index == mid
+        pivot_index, no_swaps = partition_right(work, 0, n, operator.lt)
+        assert no_swaps is True
+        assert pivot_index == mid
         assert work == list(range(n))
 
 
@@ -166,7 +179,7 @@ def first_partition_verdict(left_size, right_size, monkeypatch):
     def spy(data, begin, end, lt, metrics):
         bad_before = metrics.bad_partitions
         result = partition(data, begin, end, lt, metrics)
-        calls.append((bad_before, result.pivot_index))
+        calls.append((bad_before, result[0]))
         return result
 
     monkeypatch.setattr(driver, "partition_right", spy)

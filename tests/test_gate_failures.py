@@ -141,8 +141,7 @@ BROKEN_KERNELS = {
     # partition_right leaves the range as it is and reports the pivot
     # where it started.
     "never_partitions": (
-        "acceptance.partition_right = lambda data, begin, end, lt, metrics=None: "
-        "PartitionResult((0, False))",
+        "acceptance.partition_right = lambda data, begin, end, lt, metrics=None: (0, False)",
         "[FAIL] criterion 2 (exhaustive partition oracle): 1089 arrays; 1089 failures; "
         "first: (0, 0): partition_right: scan count off",
     ),
@@ -170,8 +169,8 @@ BROKEN_KERNELS = {
     # right of where it put it.
     "reports_pivot_one_right": (
         "def shifted(data, begin, end, lt, metrics=None):\n"
-        "    res = partition.partition_right(data, begin, end, lt, metrics)\n"
-        "    return PartitionResult((res.pivot_index + 1, res.no_swaps))\n"
+        "    pivot_index, no_swaps = partition.partition_right(data, begin, end, lt, metrics)\n"
+        "    return pivot_index + 1, no_swaps\n"
         "acceptance.partition_right = shifted",
         "[FAIL] criterion 2 (exhaustive partition oracle): 1089 arrays; 1089 failures; "
         "first: (0, 0): partition_right: left partition not strictly below pivot",
@@ -199,7 +198,6 @@ def test_criterion_2_fails_a_broken_kernel(broken, flags):
     script = "\n".join(
         [
             "from pdqsort import acceptance, partition",
-            "from pdqsort.partition import PartitionResult",
             patch,
             "print(acceptance.format_line(acceptance.check(2, quick=True)))",
         ]

@@ -206,6 +206,39 @@ def test_sort_makes_no_python_level_call_of_operator_lt():
     assert not callers, callers
 
 
+def test_uncounted_sort_calls_only_kernels_and_gets_plain_pairs():
+    # The Python calls of one range are its kernels: choose_pivot sorts
+    # its samples in its own frame, and each partition kernel hands the
+    # loop a plain tuple, not a PartitionResult to build and unpack.
+    library = Path(pdqsort.__file__).parent
+    partitions = {"partition_right", "partition_left", "block_partition_right"}
+    kernels = {"_sort_range", "choose_pivot", "break_patterns", "insertion_sort", *partitions}
+    calls = Counter()
+    results = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event in ("call", "return") and Path(code.co_filename).parent == library:
+            if event == "call":
+                calls[code.co_name] += 1
+            elif code.co_name in partitions:
+                results.append(type(arg))
+
+    data = generate(DistributionSpec("uniform", 4096, "int64", seed=57))
+    expected = sorted(data)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        sort(data)
+    finally:
+        sys.setprofile(previous)
+    assert data == expected
+    # sort() itself is the entry point.
+    assert set(calls) - {"sort"} <= kernels, calls
+    assert calls["choose_pivot"] == len(results) > 0
+    assert set(results) == {tuple}
+
+
 class Poison:
     """Raises whichever way it is compared."""
 

@@ -13,7 +13,6 @@ from pdqsort import (
     heapsort,
     insertion_sort,
     partial_insertion_sort,
-    sort3,
     unguarded_insertion_sort,
 )
 from pdqsort.acceptance import _TracingList
@@ -276,30 +275,6 @@ class TestHeapsort:
         work = list(arr)
         heapsort(work, 0, len(work), operator.lt)
         assert work == sorted(arr)
-
-
-class TestSort3:
-    def test_examples(self):
-        work = [3, 1, 2]
-        sort3(work, 0, 1, 2, operator.lt)
-        assert work == [1, 2, 3]
-        work = [1, 1, 0]
-        sort3(work, 0, 1, 2, operator.lt)
-        assert work == [0, 1, 1]
-
-    def test_all_permutations(self):
-        for perm in itertools.permutations([1, 2, 3]):
-            work = list(perm)
-            m = Metrics()
-            sort3(work, 0, 1, 2, counting_ordering(operator.lt, m), m)
-            assert work == [1, 2, 3], perm
-            assert m.comparisons <= 3
-
-    def test_scattered_positions(self):
-        work = [9, 5, 0, 2, 7]
-        sort3(work, 0, 2, 4, lt=operator.lt)
-        assert (work[0], work[2], work[4]) == (0, 7, 9)
-        assert sorted(work) == [0, 2, 5, 7, 9]
 
 
 def test_every_small_sort_matches_oracle_exhaustively():
