@@ -11,56 +11,50 @@ from pdqsort import acceptance
 def _run(number):
     result = acceptance.check(number)
     print(acceptance.format_line(result))
+    assert result.passed, result.details
     return result
 
 
+def _gate(number):
+    assert _run(number).gating
+
+
 def test_criterion_1_correctness_sweep():
-    result = _run(1)
-    assert result.passed, result.details
+    _gate(1)
 
 
 def test_criterion_2_partition_oracle():
-    result = _run(2)
-    assert result.passed, result.details
+    _gate(2)
 
 
 def test_criterion_3_linear_in_duplicates():
-    result = _run(3)
-    assert result.passed, result.details
+    _gate(3)
 
 
 def test_criterion_4_pivot_reuse():
-    result = _run(4)
-    assert result.passed, result.details
+    _gate(4)
 
 
 def test_criterion_5_linear_patterns():
-    result = _run(5)
-    assert result.passed, result.details
+    _gate(5)
 
 
 def test_criterion_6_worst_case_gate():
-    result = _run(6)
-    assert result.passed, result.details
+    _gate(6)
 
 
 def test_criterion_7_depth_bound():
-    result = _run(7)
-    assert result.passed, result.details
+    _gate(7)
 
 
 def test_criterion_8_entropy_table():
-    result = _run(8)
-    assert result.passed, result.details
+    _gate(8)
 
 
 def test_criterion_9_bench_determinism():
-    result = _run(9)
-    assert result.passed, result.details
+    _gate(9)
 
 
 def test_criterion_10_performance_notes():
     # Informative by design: the ratios are recorded, never asserted.
-    result = _run(10)
-    assert result.passed, result.details
-    assert not result.gating
+    assert not _run(10).gating

@@ -156,9 +156,9 @@ class TestSlowdown:
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
         assert main(["verify", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("criterion") == 10
-        assert "[FAIL]" not in out
+        # Criteria 1-9 gate and pass; criterion 10 only reports.
+        heads = [line.split(" (")[0] for line in capsys.readouterr().out.splitlines()]
+        assert heads == [f"[PASS] criterion {n}" for n in range(1, 10)] + ["[INFO] criterion 10"]
 
     def test_failure_exits_2(self, capsys, monkeypatch):
         def broken(quick):

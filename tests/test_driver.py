@@ -72,7 +72,8 @@ class TestChoosePivot:
     def test_every_triple_is_sorted_median_first(self):
         # The unguarded estimate of three elements is the sorting network
         # over (middle, first, last): the median ends at the front, the
-        # least in the middle and the greatest last, ties included.
+        # least in the middle and the greatest last, ties included. The
+        # guard would move nothing: its quartile slots are the first and last.
         for arr in itertools.product(range(3), repeat=3):
             work = list(arr)
             m = Metrics()

@@ -80,11 +80,12 @@ def calls_made(run, arr, inline=False):
     return m.comparisons
 
 
-def kernel_sweeps(name, seed):
-    """The five inputs of one row's raise-at-call-k sweep, of even and odd
-    lengths, each with a ``run(work, lt)`` that calls the row's kernel."""
+def kernel_sweeps(name, inline):
+    """The five inputs of one row's raise-at-call-k sweep on one path, of
+    even and odd lengths, each with a ``run(work, lt)`` that calls the
+    row's kernel."""
     row = KERNELS[name]
-    rng = random.Random(seed)
+    rng = random.Random(33 if inline else 31)
     for i in range(5):
         arr, begin = row.prepare([rng.randint(0, 9) for _ in range(40 + i % 2)])
         yield arr, lambda work, lt, begin=begin: row.call(work, begin, len(work), lt, None)
@@ -99,33 +100,52 @@ def assert_permutation_kept(run, arr, ks, exc, inline=False):
         assert same_elements(work, before), f"element lost when call {k} raised"
 
 
-@pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
-@pytest.mark.parametrize("name", KERNELS)
-def test_kernel_keeps_permutation(name, exc):
-    for arr, run in kernel_sweeps(name, 31):
-        total = calls_made(run, arr)
-        assert_permutation_kept(run, arr, range(1, total + 1), exc)
+def check_kernel_sweep(name, exc, inline):
+    for arr, run in kernel_sweeps(name, inline):
+        total = calls_made(run, arr, inline)
+        assert_permutation_kept(run, arr, range(1, total + 1), exc, inline)
 
 
-@pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
-@pytest.mark.parametrize("config", _toggle_configs())
-def test_sort_keeps_permutation(config, exc):
-    rng = random.Random(32)
+def check_sort_sweep(config, exc, inline):
+    rng = random.Random(34 if inline else 32)
     arr = [rng.randint(0, 50) for _ in range(300)]
 
     def run(work, lt):
+        assert not inline or lt is operator.lt
         sort_with(work, lt, config)
 
-    total = calls_made(run, arr)
-    assert_permutation_kept(run, arr, range(1, total + 1, max(1, total // 120)), exc)
+    total = calls_made(run, arr, inline)
+    assert_permutation_kept(run, arr, range(1, total + 1, max(1, total // 120)), exc, inline)
 
 
-@pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
-@pytest.mark.parametrize("name", KERNELS)
+# Each sweep is written once above and run under one test name per path.
+by_exception = pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
+by_kernel = pytest.mark.parametrize("name", KERNELS)
+by_config = pytest.mark.parametrize("config", _toggle_configs())
+
+
+@by_exception
+@by_kernel
+def test_kernel_keeps_permutation(name, exc):
+    check_kernel_sweep(name, exc, inline=False)
+
+
+@by_exception
+@by_kernel
 def test_inline_kernel_keeps_permutation(name, exc):
-    for arr, run in kernel_sweeps(name, 33):
-        total = calls_made(run, arr, inline=True)
-        assert_permutation_kept(run, arr, range(1, total + 1), exc, inline=True)
+    check_kernel_sweep(name, exc, inline=True)
+
+
+@by_exception
+@by_config
+def test_sort_keeps_permutation(config, exc):
+    check_sort_sweep(config, exc, inline=False)
+
+
+@by_exception
+@by_config
+def test_inline_sort_keeps_permutation(config, exc):
+    check_sort_sweep(config, exc, inline=True)
 
 
 def _line_of(module, text):
@@ -137,7 +157,7 @@ def lines_raised(name, function, inline):
     """The lines of ``function`` at which the sweeps above raise, run
     through kernel ``name``."""
     raised_at = set()
-    for arr, run in kernel_sweeps(name, 33 if inline else 31):
+    for arr, run in kernel_sweeps(name, inline):
         for k in range(1, calls_made(run, arr, inline) + 1):
             work, ordering = on_path(inline, arr, raising_at(k, Raised))
             with pytest.raises(Raised) as info:
@@ -175,20 +195,6 @@ def test_insertion_sort_sweep_raises_at_every_comparison(inline):
         )
     }
     assert lines_raised("insertion_sort", "insertion_sort", inline) == lines
-
-
-@pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
-@pytest.mark.parametrize("config", _toggle_configs())
-def test_inline_sort_keeps_permutation(config, exc):
-    rng = random.Random(34)
-    arr = [rng.randint(0, 50) for _ in range(300)]
-
-    def run(work, lt):
-        assert lt is operator.lt
-        sort_with(work, lt, config)
-
-    total = calls_made(run, arr, inline=True)
-    assert_permutation_kept(run, arr, range(1, total + 1, max(1, total // 120)), exc, inline=True)
 
 
 def coin(seed):
