@@ -23,16 +23,14 @@ import time
 import traceback
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from . import driver
-from .bench import ALGORITHMS, BLOCK_CONFIG, counter_rows, slowdown_table
+from .bench import ALGORITHMS, counter_rows, slowdown_table
 from .datagen import DISTRIBUTION_KINDS, DistributionSpec, SplitMix64, generate
-from .driver import DEFAULT_CONFIG, SortConfig, sort_with
+from .driver import BLOCK_CONFIG, DEFAULT_CONFIG, TOGGLE_CONFIGS, sort_with
 from .instrumentation import Metrics, adversary_input, counting_ordering, instrumented_sort
 from .partition import DEFAULT_BLOCK_SIZE, block_partition_right, partition_left, partition_right
-
-TOGGLE_FIELDS = tuple(f.name for f in fields(SortConfig))
 
 # The two partition kernels a gate runs over: the default scalar one and
 # the block ablation.
@@ -51,13 +49,6 @@ class CriterionResult:
 def format_line(res: CriterionResult) -> str:
     status = ("PASS" if res.passed else "FAIL") if res.gating else "INFO"
     return f"[{status}] criterion {res.number} ({res.name}): {res.details}"
-
-
-def _toggle_configs():
-    out = []
-    for bits in itertools.product((False, True), repeat=len(TOGGLE_FIELDS)):
-        out.append(replace(DEFAULT_CONFIG, **dict(zip(TOGGLE_FIELDS, bits))))
-    return out
 
 
 def _depth_bound(n: int) -> int:
@@ -80,12 +71,11 @@ def criterion_correctness_sweep(quick: bool = False):
             n = rng.randint(0, 64)
             yield ("random", t, n), [rng.randint(-8, 8) for _ in range(n)]
 
-    configs = _toggle_configs()
     sorts = 0
     failures = []
     for key, arr in inputs():
         expected = sorted(arr)
-        for cfg in configs:
+        for cfg in TOGGLE_CONFIGS:
             work = list(arr)
             sort_with(work, operator.lt, cfg)
             sorts += 1

@@ -14,11 +14,11 @@ import math
 import operator
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
 from .datagen import DistributionSpec, array_digest, generate
-from .driver import DEFAULT_CONFIG, _sort_range, introsort_baseline
+from .driver import BLOCK_CONFIG, DEFAULT_CONFIG, _sort_range, introsort_baseline
 from .instrumentation import METRIC_FIELDS, Metrics, counting_ordering
 from .small_sorts import heapsort
 
@@ -26,18 +26,6 @@ from .small_sorts import heapsort
 class UsageError(ValueError):
     """Bad benchmark arguments (unknown algorithm, kind, bad p, ...)."""
 
-
-CSV_COLUMNS = (
-    "algo",
-    "kind",
-    "element_type",
-    "n",
-    "seed",
-    "iterations",
-    "total_ns",
-    "ns_per_nlog2n",
-    "input_hash",
-) + METRIC_FIELDS
 
 # Dropped when comparing runs for determinism: the iteration count is a
 # function of elapsed wall time whenever the min-time floor binds.
@@ -65,22 +53,14 @@ class BenchmarkRecord:
     metrics: Metrics = field(repr=False)
 
     def row(self) -> list:
-        return [
-            self.algo,
-            self.kind,
-            self.element_type,
-            self.n,
-            self.seed,
-            self.iterations,
-            self.total_ns,
-            f"{self.ns_per_nlog2n:.6f}",
-            self.input_hash,
-            *self.metrics.counter_values(),
-        ]
+        """The values of CSV_COLUMNS: each field in order, a float to 6
+        decimals, with ``metrics`` expanded last."""
+        *values, metrics = (getattr(self, f.name) for f in fields(self))
+        return [f"{v:.6f}" if isinstance(v, float) else v for v in values] + [*metrics.counter_values()]
 
 
-# The block ablation: bench's bpdq, and the second kernel of each gate.
-BLOCK_CONFIG = replace(DEFAULT_CONFIG, use_block_partition=True)
+# The record's fields, ``metrics`` expanded last as METRIC_FIELDS.
+CSV_COLUMNS = tuple(f.name for f in fields(BenchmarkRecord))[:-1] + METRIC_FIELDS
 
 # Each algorithm is one call (values, lt, metrics): timed with the plain
 # ordering and no metrics, counted with a counting ordering and Metrics.

@@ -135,9 +135,19 @@ def _build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="run the acceptance suite")
     verify.add_argument(
-        "--quick", action="store_true", help="reduced sizes (development aid, not the gate)"
+        "--quick", action="store_true", help="reduced sizes: the gate CI runs on each interpreter"
     )
     return parser
+
+
+def _write_out(path: str, write) -> None:
+    """``write(out)`` to stdout if ``path`` is ``-``, else to the file
+    ``path``, lines ended by ``\\n`` alone on every platform."""
+    if path == "-":
+        write(sys.stdout)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            write(f)
 
 
 def _cmd_bench(args) -> int:
@@ -159,14 +169,9 @@ def _cmd_bench(args) -> int:
     def write(out):
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(record.row())
+        writer.writerows(record.row() for record in records)
 
-    if args.out == "-":
-        write(sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            write(f)
+    _write_out(args.out, write)
     if args.tables:
         sys.stdout.write(format_text_tables(records))
     return 0
@@ -178,11 +183,7 @@ def _cmd_gen(args) -> int:
     # With both names valid, a negative size is the one error left.
     spec = _flag("--n", lambda n: DistributionSpec(kind, n, etype, seed=args.seed), args.n)
     values = generate(spec)
-    if args.out == "-":
-        write_array(sys.stdout, spec, values)
-    else:
-        with open(args.out, "w", encoding="utf-8") as f:
-            write_array(f, spec, values)
+    _write_out(args.out, lambda out: write_array(out, spec, values))
     return 0
 
 

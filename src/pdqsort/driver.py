@@ -30,8 +30,9 @@ identical output permutation and identical instrumentation counters.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import MutableSequence
 
 from .inline import inline_lt
@@ -75,6 +76,15 @@ class SortConfig:
 
 
 DEFAULT_CONFIG = SortConfig()
+
+# The block ablation: bench's bpdq, and the second kernel of each gate.
+BLOCK_CONFIG = SortConfig(use_block_partition=True)
+
+# Every combination of the toggles, in itertools.product order over the
+# fields: the first has every toggle off, the last every toggle on.
+TOGGLE_CONFIGS = tuple(
+    SortConfig(*bits) for bits in itertools.product((False, True), repeat=len(fields(SortConfig)))
+)
 
 _INTROSORT_CONFIG = SortConfig(
     use_partition_left=False,
@@ -211,7 +221,6 @@ def choose_pivot(
             metrics.exchanges += 1
 
 
-@inline_lt
 def break_patterns(
     data: MutableSequence,
     begin: int,

@@ -159,8 +159,9 @@ def heapsort(
     Every sift is bottom-up, as libstdc++'s ``__adjust_heap``: the hole
     first sinks to a leaf, taking the larger child on every level for one
     ``lt`` each, and the lifted element then rises from there toward the
-    sift's root past every parent less than it, about n log2 n + 0.8n
-    comparisons in all. The descent reads only children inside the heap
+    sift's root past every parent less than it: at most n log2 n + 0.82n
+    comparisons on shuffled, ascending, descending and all-equal ranges of
+    2^6 to 2^16 elements. The descent reads only children inside the heap
     and the ascent stops at the sift's root, whatever ``lt`` answers.
     ``element_moves`` counts each lift, hole fill and drop.
     """

@@ -1,15 +1,16 @@
 """Acceptance gates, one test per criterion.
 
-Runs the full-scale criteria (about 30 s on CPython 3.11, pure Python). Each test
-prints its criterion's pass/fail line; run with ``-s`` to see them live,
-or use ``pdqsort verify`` for the same suite from the CLI.
+Runs criteria 1-9 at full scale and the informative criterion 10 at its
+quick sizes: 23 s in all on CPython 3.11.7, on a shared 2-core machine.
+Each test prints its criterion's pass/fail line; run with ``-s`` to see
+them live, or use ``pdqsort verify`` for the same suite from the CLI.
 """
 
 from pdqsort import acceptance
 
 
-def _run(number):
-    result = acceptance.check(number)
+def _run(number, quick=False):
+    result = acceptance.check(number, quick)
     print(acceptance.format_line(result))
     assert result.passed, result.details
     return result
@@ -56,5 +57,6 @@ def test_criterion_9_bench_determinism():
 
 
 def test_criterion_10_performance_notes():
-    # Informative by design: the ratios are recorded, never asserted.
-    assert not _run(10).gating
+    # Informative by design: the ratios are recorded, never asserted, so
+    # the quick sizes serve; `pdqsort verify` times the full ones.
+    assert not _run(10, quick=True).gating

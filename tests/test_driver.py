@@ -27,8 +27,7 @@ from pdqsort import (
     sort_with,
 )
 from pdqsort import driver, small_sorts
-from pdqsort.acceptance import _toggle_configs
-from pdqsort.bench import BLOCK_CONFIG
+from pdqsort.driver import BLOCK_CONFIG, TOGGLE_CONFIGS
 from pdqsort.instrumentation import adversary_input
 from pdqsort.partition import DEFAULT_BLOCK_SIZE
 
@@ -55,6 +54,15 @@ class TestSortConfig:
         assert small_sorts.PARTIAL_INSERTION_BUDGET == 8
         assert DEFAULT_BLOCK_SIZE == 64
         assert driver.BAD_PARTITION_SHIFT == 3
+        # The toggle sweep, whose order names the config0-config15 test ids:
+        # config k turns on the toggles of k's bits, the first field the
+        # highest, so 16 distinct configs from every toggle off to all on.
+        assert [
+            sum(getattr(config, name) << (3 - i) for i, name in enumerate(TOGGLES))
+            for config in TOGGLE_CONFIGS
+        ] == list(range(16))
+        assert TOGGLE_CONFIGS[0] == SortConfig(False, False, False, False)
+        assert TOGGLE_CONFIGS[-1] == SortConfig(True, True, True, True)
 
 
 class TestChoosePivot:
@@ -294,7 +302,7 @@ class TestSort:
         assert work1 == work2
         assert m1 == m2
 
-    @pytest.mark.parametrize("config", _toggle_configs())
+    @pytest.mark.parametrize("config", TOGGLE_CONFIGS)
     def test_toggle_soundness(self, config):
         rng = random.Random(16)
         for _ in range(30):

@@ -37,7 +37,8 @@ from pdqsort import (
     small_sorts,
     sort_with,
 )
-from pdqsort.acceptance import _toggle_configs, _TracingList
+from pdqsort.acceptance import _TracingList
+from pdqsort.driver import TOGGLE_CONFIGS
 
 from kernels import KERNELS, Boxed
 
@@ -121,7 +122,7 @@ def check_sort_sweep(config, exc, inline):
 # Each sweep is written once above and run under one test name per path.
 by_exception = pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: e.__name__)
 by_kernel = pytest.mark.parametrize("name", KERNELS)
-by_config = pytest.mark.parametrize("config", _toggle_configs())
+by_config = pytest.mark.parametrize("config", TOGGLE_CONFIGS)
 
 
 @by_exception
@@ -217,7 +218,7 @@ FUZZ_SIZES = (0, 1, 2, 5, 23, 24, 25, 100, 300, 2000)
 @pytest.mark.parametrize("relation", INCONSISTENT)
 def test_inconsistent_relation_keeps_permutation(relation, inline):
     rng = random.Random(35)
-    for config, n, _ in itertools.product(_toggle_configs(), FUZZ_SIZES, range(3)):
+    for config, n, _ in itertools.product(TOGGLE_CONFIGS, FUZZ_SIZES, range(3)):
         arr = [rng.randint(0, n) for _ in range(n)]
         work, ordering = on_path(inline, arr, INCONSISTENT[relation](rng.random()))
         before = list(work)

@@ -29,7 +29,6 @@ from pdqsort import (
     DistributionSpec,
     Metrics,
     adversary_input,
-    break_patterns,
     driver,
     generate,
     heapsort,
@@ -40,9 +39,7 @@ from pdqsort import (
     sort,
     sort_with,
 )
-from pdqsort.acceptance import _toggle_configs
-from pdqsort.bench import BLOCK_CONFIG
-from pdqsort.driver import _sort_range
+from pdqsort.driver import BLOCK_CONFIG, TOGGLE_CONFIGS, _sort_range
 
 from kernels import KERNELS, Boxed, python_lt, small_arrays
 
@@ -112,7 +109,7 @@ def test_kernel_uses_only_the_truth_of_a_comparison(name):
 
 ROW_KERNELS = {row.kernel for row in KERNELS.values()}
 # Every function that pdqsort.inline generates branches of.
-GENERATED = ROW_KERNELS | {break_patterns, _sort_range}
+GENERATED = ROW_KERNELS | {_sort_range}
 
 
 def test_every_inlined_function_has_a_row():
@@ -125,7 +122,7 @@ def test_every_inlined_function_has_a_row():
         for function in vars(module).values()
         if inspect.isfunction(function) and "builtin_lt" in function.__code__.co_freevars
     }
-    assert inlined == ROW_KERNELS | {_sort_range}
+    assert inlined == GENERATED
 
 
 def test_uncounted_sorts_run_no_counter_statement():
@@ -168,7 +165,7 @@ def test_uncounted_sorts_run_no_counter_statement():
     assert seen == set(by_name)
 
 
-@pytest.mark.parametrize("config", _toggle_configs())
+@pytest.mark.parametrize("config", TOGGLE_CONFIGS)
 def test_sort_inline_matches_sort_with_relation(config):
     rng = random.Random(53)
     for n in (0, 1, 2, 23, 24, 25, 200, 3000):
