@@ -382,7 +382,7 @@ def criterion_bench_determinism(quick: bool = False):
     from .cli import main
 
     args = (
-        "bench --algos pdq,bpdq,baseline,heapsort --dists asc,ones,uniform --sizes 256"
+        "bench --algos pdq,bpdq,introsort_baseline,heapsort --dists asc,ones,uniform --sizes 256"
         " --types int64,str --seed 7 --min-time 0.01s --min-iters 2"
     ).split()
     outputs = []

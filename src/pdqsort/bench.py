@@ -23,10 +23,6 @@ from .instrumentation import METRIC_FIELDS, Metrics, counting_ordering
 from .small_sorts import heapsort
 
 
-class UsageError(ValueError):
-    """Bad benchmark arguments (unknown algorithm, kind, bad p, ...)."""
-
-
 # Dropped when comparing runs for determinism: the iteration count is a
 # function of elapsed wall time whenever the min-time floor binds.
 TIMING_COLUMNS = ("iterations", "total_ns", "ns_per_nlog2n")
@@ -70,14 +66,6 @@ ALGORITHMS: dict[str, Callable] = {
     "introsort_baseline": introsort_baseline,
     "heapsort": lambda v, lt, m: heapsort(v, 0, len(v), lt, m),
 }
-_ALGO_ALIASES = {"baseline": "introsort_baseline"}
-
-
-def resolve_algo(name: str) -> str:
-    canonical = _ALGO_ALIASES.get(name, name)
-    if canonical not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm: {name!r} (choose from {', '.join(ALGORITHMS)})")
-    return canonical
 
 
 def run_benchmark(
@@ -93,13 +81,15 @@ def run_benchmark(
     sorts, timing each with the plain ordering; ``ns_per_nlog2n`` is their
     median time over n log2 n. One more, counted, sort fills the counters.
     """
-    canonical = [resolve_algo(a) for a in algos]
+    for algo in algos:
+        if algo not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm: {algo!r} (choose from {', '.join(ALGORITHMS)})")
     min_ns = int(min_time * 1e9)
     records = []
     for spec in specs:
         values = generate(spec)
         digest = array_digest(values)
-        for algo in canonical:
+        for algo in algos:
             run = ALGORITHMS[algo]
             total_ns = 0
             times = []
@@ -138,7 +128,7 @@ def slowdown_table(ps: Sequence[float]) -> list:
     p/(1-p) is slower than perfect halving."""
     for p in ps:
         if not 0.0 < p < 1.0:
-            raise UsageError(f"p must be in (0, 1), got {p}")
+            raise ValueError(f"p must be in (0, 1), got {p}")
     return [(p, 1.0 / binary_entropy(p)) for p in ps]
 
 

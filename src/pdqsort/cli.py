@@ -6,9 +6,11 @@ Subcommands:
   slowdown  print the 1/H(p) slowdown table for given split fractions
   verify    run the acceptance suite, one line per criterion
 
-Exit codes: 0 success, 1 usage error, 2 verification failure. Any other
-error, such as an ordering that a sort in `bench` finds inconsistent,
-propagates with its traceback (and Python's exit code 1).
+Exit codes: 0 success, 1 usage error, 2 verification failure. argparse
+parses and checks every flag, so each usage error reads `pdqsort
+<command>: error: argument <flag>: ...`. Any error raised after parsing,
+such as an ordering that a sort in `bench` finds inconsistent, propagates
+with its traceback (and Python's exit code 1).
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import sys
 from .bench import (
     ALGORITHMS,
     CSV_COLUMNS,
-    UsageError,
     format_text_tables,
-    resolve_algo,
     run_benchmark,
     slowdown_table,
 )
@@ -41,31 +41,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_name(text: str, choices) -> str:
-    """One of ``choices``."""
-    if text not in choices:
-        raise UsageError(f"unknown name: {text!r} (choose from {', '.join(choices)})")
-    return text
+def _checked(parse, *args):
+    """argparse ``type=`` for ``parse(text, *args)``: a ValueError from it
+    is a usage error, which ``_Parser.error`` reports against the flag."""
+
+    def convert(text: str):
+        try:
+            return parse(text, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _parse_list(text: str, choices=None) -> list:
     """Comma list of names, each one of ``choices`` if given."""
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
-        raise UsageError(f"empty list: {text!r}")
-    if choices is not None:
-        for part in parts:
-            _parse_name(part, choices)
+        raise ValueError(f"empty list: {text!r}")
+    for part in parts:
+        if choices is not None and part not in choices:
+            raise ValueError(f"unknown name: {part!r} (choose from {', '.join(choices)})")
     return parts
 
 
-def _flag(flag: str, parse, text: str, *args):
-    """``parse(text, *args)``; a ValueError from it is a usage error that
-    names ``flag``."""
-    try:
-        return parse(text, *args)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+def _parse_int(text: str, low: int) -> int:
+    """An int, ``low`` or more."""
+    value = int(text)
+    if value < low:
+        raise ValueError(f"must be >= {low}, got {value}")
+    return value
 
 
 def _parse_sizes(text: str) -> list:
@@ -78,7 +83,7 @@ def _parse_sizes(text: str) -> list:
             lo, hi = int(lo_text), int(hi_text)
             step = int(factor) if factor else 2
             if lo < 1 or hi < lo or step < 2:
-                raise UsageError(f"bad size range: {part!r}")
+                raise ValueError(f"bad size range: {part!r}")
             v = lo
             while v <= hi:
                 sizes.append(v)
@@ -86,26 +91,18 @@ def _parse_sizes(text: str) -> list:
         else:
             v = int(part)
             if v < 0:
-                raise UsageError(f"bad size: {part!r}")
+                raise ValueError(f"bad size: {part!r}")
             sizes.append(v)
     return sizes
 
 
 def _parse_duration(text: str) -> float:
+    """Seconds, as `2`, `2s` or `2000ms`: finite and not negative."""
     t = text.strip()
-    try:
-        if t.endswith("ms"):
-            seconds = float(t[:-2]) / 1000.0
-        elif t.endswith("s"):
-            seconds = float(t[:-1])
-        else:
-            seconds = float(t)
-    except ValueError:
-        pass
-    else:
-        if math.isfinite(seconds) and seconds >= 0:
-            return seconds
-    raise UsageError(f"bad duration: {text!r}")
+    seconds = float(t[:-2]) / 1000.0 if t.endswith("ms") else float(t.removesuffix("s"))
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(f"bad duration: {text!r}")
+    return seconds
 
 
 def _build_parser() -> _Parser:
@@ -113,25 +110,31 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("bench", help="run the benchmark matrix")
-    bench.add_argument("--algos", default=",".join(ALGORITHMS))
-    bench.add_argument("--dists", default=",".join(DISTRIBUTION_KINDS))
-    bench.add_argument("--sizes", default=DEFAULT_SIZES)
-    bench.add_argument("--types", default="int64")
+    bench.add_argument("--algos", type=_checked(_parse_list, ALGORITHMS), default=list(ALGORITHMS))
+    bench.add_argument(
+        "--dists", type=_checked(_parse_list, DISTRIBUTION_KINDS), default=list(DISTRIBUTION_KINDS)
+    )
+    bench.add_argument("--sizes", type=_checked(_parse_sizes), default=DEFAULT_SIZES)
+    bench.add_argument("--types", type=_checked(_parse_list, ELEMENT_TYPES), default="int64")
     bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    bench.add_argument("--min-time", default="1s")
-    bench.add_argument("--min-iters", type=int, default=10)
+    bench.add_argument("--min-time", type=_checked(_parse_duration), default="1s")
+    bench.add_argument("--min-iters", type=_checked(_parse_int, 1), default=10)
     bench.add_argument("--out", default="-", help="CSV path, '-' for stdout")
-    bench.add_argument("--tables", action="store_true", help="also print text tables")
+    bench.add_argument("--tables", action="store_true", help="also print text tables, to stderr")
 
     gen = sub.add_parser("gen", help="generate one input array")
-    gen.add_argument("--kind", required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--type", default="int64", dest="element_type")
+    gen.add_argument("--kind", choices=DISTRIBUTION_KINDS, required=True)
+    gen.add_argument("--n", type=_checked(_parse_int, 0), required=True)
+    gen.add_argument("--type", choices=ELEMENT_TYPES, default="int64", dest="element_type")
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gen.add_argument("--out", default="-")
 
     slow = sub.add_parser("slowdown", help="print the 1/H(p) table")
-    slow.add_argument("--p", required=True, help="comma list of fractions in (0,1)")
+    slowdown_rows = _checked(lambda text: slowdown_table([float(p) for p in _parse_list(text)]))
+    slow.add_argument(
+        "--p", type=slowdown_rows, required=True, dest="rows", metavar="P",
+        help="comma list of fractions in (0,1)",
+    )
 
     verify = sub.add_parser("verify", help="run the acceptance suite")
     verify.add_argument(
@@ -151,20 +154,13 @@ def _write_out(path: str, write) -> None:
 
 
 def _cmd_bench(args) -> int:
-    algos = _flag("--algos", lambda text: [resolve_algo(a) for a in _parse_list(text)], args.algos)
-    etypes = _flag("--types", _parse_list, args.types, ELEMENT_TYPES)
-    kinds = _flag("--dists", _parse_list, args.dists, DISTRIBUTION_KINDS)
-    sizes = _flag("--sizes", _parse_sizes, args.sizes)
     specs = [
         DistributionSpec(kind, n, etype, seed=args.seed)
-        for etype in etypes
-        for kind in kinds
-        for n in sizes
+        for etype in args.types
+        for kind in args.dists
+        for n in args.sizes
     ]
-    min_time = _flag("--min-time", _parse_duration, args.min_time)
-    if args.min_iters < 1:
-        raise UsageError("--min-iters: must be >= 1")
-    records = run_benchmark(algos, specs, min_time, args.min_iters)
+    records = run_benchmark(args.algos, specs, args.min_time, args.min_iters)
 
     def write(out):
         writer = csv.writer(out, lineterminator="\n")
@@ -173,24 +169,20 @@ def _cmd_bench(args) -> int:
 
     _write_out(args.out, write)
     if args.tables:
-        sys.stdout.write(format_text_tables(records))
+        sys.stderr.write(format_text_tables(records))
     return 0
 
 
 def _cmd_gen(args) -> int:
-    kind = _flag("--kind", _parse_name, args.kind, DISTRIBUTION_KINDS)
-    etype = _flag("--type", _parse_name, args.element_type, ELEMENT_TYPES)
-    # With both names valid, a negative size is the one error left.
-    spec = _flag("--n", lambda n: DistributionSpec(kind, n, etype, seed=args.seed), args.n)
+    spec = DistributionSpec(args.kind, args.n, args.element_type, seed=args.seed)
     values = generate(spec)
     _write_out(args.out, lambda out: write_array(out, spec, values))
     return 0
 
 
 def _cmd_slowdown(args) -> int:
-    rows = _flag("--p", lambda text: slowdown_table([float(p) for p in _parse_list(text)]), args.p)
     print(f"{'p':>10} {'slowdown':>12}")
-    for p, factor in rows:
+    for p, factor in args.rows:
         print(f"{p:>10.6g} {factor:>12.6f}")
     return 0
 
@@ -218,11 +210,7 @@ def main(argv=None) -> int:
         "slowdown": _cmd_slowdown,
         "verify": _cmd_verify,
     }
-    try:
-        return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"pdqsort: error: {exc}", file=sys.stderr)
-        return 1
+    return handlers[args.command](args)
 
 
 def entry() -> None:

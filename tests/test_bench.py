@@ -9,7 +9,6 @@ from pdqsort.bench import (
     CSV_COLUMNS,
     TIMING_COLUMNS,
     BenchmarkRecord,
-    UsageError,
     format_text_tables,
     run_benchmark,
     slowdown_table,
@@ -31,7 +30,7 @@ class TestSlowdownTable:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 2.0])
     def test_rejects_out_of_range(self, p):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             slowdown_table([p])
 
 
@@ -54,7 +53,7 @@ class TestRunBenchmark:
         assert record.algo == "pdq"
 
     def test_unknown_algo_raises(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             run_benchmark(["nope"], [DistributionSpec("asc", 8)], **FLOORS)
 
     def test_reports_the_median_sort(self, monkeypatch):

@@ -2,7 +2,7 @@
 
 ``data/bench_counters.csv`` is the output of
 
-    pdqsort bench --algos pdq,bpdq,baseline,heapsort --sizes 256,4096 \
+    pdqsort bench --algos pdq,bpdq,introsort_baseline,heapsort --sizes 256,4096 \
         --types int64,str --seed 7 --min-time 0s --min-iters 1
 
 with the timing columns stripped: 192 rows over every distribution. A
@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "bench_counters.csv"
 ARGS = [
     "bench",
     "--algos",
-    "pdq,bpdq,baseline,heapsort",
+    "pdq,bpdq,introsort_baseline,heapsort",
     "--sizes",
     "256,4096",
     "--types",

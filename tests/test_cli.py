@@ -68,9 +68,12 @@ class TestBench:
             ["bench", "--algos", "pdq", "--dists", "asc", "--sizes", "64", "--tables"] + FAST
         )
         assert rc == 0
-        captured = capsys.readouterr().out
-        assert captured.startswith(GOLDEN_HEADER)
-        assert "asc / int64" in captured
+        # The tables go to stderr, so stdout is the CSV alone: one row.
+        captured = capsys.readouterr()
+        assert captured.out.startswith(GOLDEN_HEADER)
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [(r["algo"], r["kind"], r["n"]) for r in rows] == [("pdq", "asc", "64")]
+        assert "asc / int64" in captured.err
 
     @pytest.mark.parametrize(
         "flags",
@@ -99,7 +102,7 @@ class TestBench:
         rc = main(["bench", "--out", str(tmp_path / "x.csv")] + small + FAST + flags)
         assert rc == 1
         flag = flags[0].split("=")[0]
-        assert f"pdqsort: error: {flag}: " in capsys.readouterr().err
+        assert f"pdqsort bench: error: argument {flag}: " in capsys.readouterr().err
 
 
 class TestGen:
@@ -118,15 +121,17 @@ class TestGen:
 
     def test_unknown_kind_exits_1(self, capsys):
         assert main(["gen", "--kind", "zipf", "--n", "4"]) == 1
-        assert "pdqsort: error: --kind: unknown name: 'zipf' (choose from " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "pdqsort gen: error: argument --kind: invalid choice: 'zipf'" in err
 
     def test_unknown_type_exits_1(self, capsys):
         assert main(["gen", "--kind", "ones", "--n", "4", "--type", "int32"]) == 1
-        assert "pdqsort: error: --type: unknown name: 'int32' (choose from " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "pdqsort gen: error: argument --type: invalid choice: 'int32'" in err
 
     def test_negative_n_exits_1(self, capsys):
         assert main(["gen", "--kind", "ones", "--n", "-3"]) == 1
-        assert "pdqsort: error: --n: n must be >= 0" in capsys.readouterr().err
+        assert "pdqsort gen: error: argument --n: must be >= 0" in capsys.readouterr().err
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -147,10 +152,12 @@ class TestSlowdown:
 
     def test_bad_p_exits_1(self, capsys):
         assert main(["slowdown", "--p", "1.5"]) == 1
+        assert "pdqsort slowdown: error: argument --p: " in capsys.readouterr().err
 
     def test_garbage_p_exits_1(self, capsys):
         for p in ("zero", ",", ""):
             assert main(["slowdown", "--p", p]) == 1, p
+            assert "pdqsort slowdown: error: argument --p: " in capsys.readouterr().err, p
 
 
 class TestVerify:
