@@ -23,10 +23,10 @@ import time
 import traceback
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import driver
-from .bench import ALGORITHMS, counter_rows, slowdown_table
+from .bench import ALGORITHMS, TIMING_COLUMNS, run_benchmark, slowdown_table
 from .datagen import DISTRIBUTION_KINDS, DistributionSpec, SplitMix64, generate
 from .driver import BLOCK_CONFIG, DEFAULT_CONFIG, TOGGLE_CONFIGS, sort_with
 from .instrumentation import Metrics, adversary_input, counting_ordering, instrumented_sort
@@ -203,15 +203,16 @@ def criterion_partition_oracle(quick: bool = False):
 
 def _doubling(name, build, cfg, exps, per_n, min_ratio, problems):
     """Sort ``build(n)`` under ``cfg`` for each n = 2^e in ``exps``. Appends
-    to ``problems`` an unsorted result, a count above ``per_n`` * n (if
-    given) and a ratio of successive counts outside [``min_ratio``, 2.4].
-    Returns the counts and the ratios."""
+    to ``problems`` a result other than the sorted input, a count above
+    ``per_n`` * n (if given) and a ratio of successive counts outside
+    [``min_ratio``, 2.4]. Returns the counts and the ratios."""
     counts = []
     for e in exps:
         n = 2**e
         arr = build(n)
+        expected = sorted(arr)
         m = instrumented_sort(arr, config=cfg)
-        if arr != sorted(arr):
+        if arr != expected:
             problems.append(f"{name} n=2^{e} unsorted")
         if per_n is not None and m.comparisons > per_n * n:
             problems.append(f"{name} n=2^{e}: {m.comparisons} > {per_n}n={per_n * n}")
@@ -374,26 +375,19 @@ def criterion_entropy_table(quick: bool = False):
 
 
 def criterion_bench_determinism(quick: bool = False):
-    """9: two identical bench invocations agree in every row once the
-    timing columns are dropped."""
-    import tempfile
-    from pathlib import Path
-
-    from .cli import main
-
-    args = (
-        "bench --algos pdq,bpdq,introsort_baseline,heapsort --dists asc,ones,uniform --sizes 256"
-        " --types int64,str --seed 7 --min-time 0.01s --min-iters 2"
-    ).split()
-    outputs = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for run in range(2):
-            path = Path(tmp) / f"run{run}.csv"
-            rc = main(args + ["--out", str(path)])
-            if rc != 0:
-                return "bench run", [f"bench exited with {rc}"]
-            outputs.append(counter_rows(path))
-    same = outputs[0] == outputs[1]
+    """9: two identical in-process bench runs agree in every record once
+    the timing columns are set to 0."""
+    specs = [
+        DistributionSpec(kind, 256, etype, seed=7)
+        for etype in ("int64", "str")
+        for kind in ("asc", "ones", "uniform")
+    ]
+    untimed = dict.fromkeys(TIMING_COLUMNS, 0)
+    runs = [
+        [replace(r, **untimed) for r in run_benchmark(list(ALGORITHMS), specs, 0.01, 2)]
+        for _ in range(2)
+    ]
+    same = runs[0] == runs[1]
     return "two runs compared after dropping timing columns", [] if same else ["runs differ"]
 
 

@@ -9,7 +9,6 @@ timing columns).
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import statistics
@@ -26,13 +25,6 @@ from .small_sorts import heapsort
 # Dropped when comparing runs for determinism: the iteration count is a
 # function of elapsed wall time whenever the min-time floor binds.
 TIMING_COLUMNS = ("iterations", "total_ns", "ns_per_nlog2n")
-
-
-def counter_rows(path) -> list:
-    """The rows of a bench CSV file as dicts, without the timing columns."""
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
-    return [{k: v for k, v in row.items() if k not in TIMING_COLUMNS} for row in rows]
 
 
 @dataclass

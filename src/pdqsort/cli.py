@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 verification failure. argparse
 parses and checks every flag, so each usage error reads `pdqsort
-<command>: error: argument <flag>: ...`. Any error raised after parsing,
+<command>: error: argument <flag>: ...`, and it calls the handler that
+the subcommand's parser sets as `run`. Any error raised after parsing,
 such as an ordering that a sort in `bench` finds inconsistent, propagates
 with its traceback (and Python's exit code 1).
 """
@@ -20,13 +21,8 @@ import csv
 import math
 import sys
 
-from .bench import (
-    ALGORITHMS,
-    CSV_COLUMNS,
-    format_text_tables,
-    run_benchmark,
-    slowdown_table,
-)
+from . import acceptance
+from .bench import ALGORITHMS, CSV_COLUMNS, format_text_tables, run_benchmark, slowdown_table
 from .datagen import DISTRIBUTION_KINDS, ELEMENT_TYPES, DistributionSpec, generate, write_array
 
 DEFAULT_SIZES = "1024..1048576:4"
@@ -121,6 +117,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--min-iters", type=_checked(_parse_int, 1), default=10)
     bench.add_argument("--out", default="-", help="CSV path, '-' for stdout")
     bench.add_argument("--tables", action="store_true", help="also print text tables, to stderr")
+    bench.set_defaults(run=_cmd_bench)
 
     gen = sub.add_parser("gen", help="generate one input array")
     gen.add_argument("--kind", choices=DISTRIBUTION_KINDS, required=True)
@@ -128,6 +125,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--type", choices=ELEMENT_TYPES, default="int64", dest="element_type")
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gen.add_argument("--out", default="-")
+    gen.set_defaults(run=_cmd_gen)
 
     slow = sub.add_parser("slowdown", help="print the 1/H(p) table")
     slowdown_rows = _checked(lambda text: slowdown_table([float(p) for p in _parse_list(text)]))
@@ -135,11 +133,13 @@ def _build_parser() -> _Parser:
         "--p", type=slowdown_rows, required=True, dest="rows", metavar="P",
         help="comma list of fractions in (0,1)",
     )
+    slow.set_defaults(run=_cmd_slowdown)
 
     verify = sub.add_parser("verify", help="run the acceptance suite")
     verify.add_argument(
         "--quick", action="store_true", help="reduced sizes: the gate CI runs on each interpreter"
     )
+    verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -188,29 +188,20 @@ def _cmd_slowdown(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .acceptance import CRITERIA, check, format_line
-
     failed = False
-    for number in CRITERIA:
-        res = check(number, args.quick)
-        print(format_line(res), flush=True)
+    for number in acceptance.CRITERIA:
+        res = acceptance.check(number, args.quick)
+        print(acceptance.format_line(res), flush=True)
         failed |= res.gating and not res.passed
     return 2 if failed else 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    handlers = {
-        "bench": _cmd_bench,
-        "gen": _cmd_gen,
-        "slowdown": _cmd_slowdown,
-        "verify": _cmd_verify,
-    }
-    return handlers[args.command](args)
+    return args.run(args)
 
 
 def entry() -> None:

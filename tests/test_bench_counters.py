@@ -10,11 +10,15 @@ refactor that claims to leave the sort unchanged must leave every
 comparison, move, exchange and call count of every row as it is. A change
 that moves the counters on purpose regenerates the file with the same
 command and says why.
+
+``counter_rows`` reads such a file back. It lives here because this test
+is its one caller: criterion 9 compares two runs' records in process.
 """
 
+import csv
 from pathlib import Path
 
-from pdqsort.bench import counter_rows
+from pdqsort.bench import TIMING_COLUMNS
 from pdqsort.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "bench_counters.csv"
@@ -34,6 +38,13 @@ ARGS = [
     "--min-iters",
     "1",
 ]
+
+
+def counter_rows(path) -> list:
+    """The rows of a bench CSV file as dicts, without the timing columns."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    return [{k: v for k, v in row.items() if k not in TIMING_COLUMNS} for row in rows]
 
 
 def test_counter_columns_match_golden(tmp_path):

@@ -52,6 +52,25 @@ def test_criterion_5_fails_without_partial_insertion(monkeypatch):
     assert "; first: asc/nopartial n=2^10: 7398 > 6n=6144" in result.details
 
 
+@pytest.mark.parametrize(
+    ("number", "first"), [(3, "mod8/scalar n=2^10 unsorted"), (5, "asc/scalar n=2^10 unsorted")]
+)
+def test_doubling_criterion_fails_a_sort_that_changes_a_value(monkeypatch, number, first):
+    # Lowering the first value of a sorted list leaves it sorted, but no
+    # longer a permutation of its input.
+    sort = acceptance.instrumented_sort
+
+    def lowers_first(data, lt=operator.lt, config=DEFAULT_CONFIG):
+        metrics = sort(data, lt, config)
+        data[0] -= 1
+        return metrics
+
+    monkeypatch.setattr(acceptance, "instrumented_sort", lowers_first)
+    result = acceptance.check(number, quick=True)
+    assert not result.passed
+    assert f"; first: {first}" in result.details
+
+
 def test_criterion_6_fails_an_unsorted_result(monkeypatch):
     monkeypatch.setattr(acceptance, "instrumented_sort", _stub_sort(False, lambda n: {}))
     result = acceptance.check(6, quick=True)
@@ -77,7 +96,7 @@ def test_criterion_7_fails_a_depth_past_its_bound(monkeypatch):
 
 
 def test_criterion_9_fails_when_one_counter_differs(monkeypatch):
-    run_benchmark = cli.run_benchmark
+    run_benchmark = acceptance.run_benchmark
     runs = []
 
     def second_run_differs(*args, **kwargs):
@@ -87,7 +106,7 @@ def test_criterion_9_fails_when_one_counter_differs(monkeypatch):
             records[-1].metrics.exchanges += 1
         return records
 
-    monkeypatch.setattr(cli, "run_benchmark", second_run_differs)
+    monkeypatch.setattr(acceptance, "run_benchmark", second_run_differs)
     result = acceptance.check(9, quick=True)
     assert len(runs) == 2
     assert not result.passed

@@ -1,5 +1,6 @@
 """No module of the library or of its tests imports a name it never uses,
-and no test module defines a helper that no test module reads.
+no library module imports inside a function, and no test module defines
+a helper that no test module reads.
 
 ``pdqsort/__init__.py`` is exempt: its imports are the package's
 re-exports.
@@ -35,6 +36,19 @@ def test_every_module_uses_every_name_it_imports():
         and (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_every_library_import_is_at_module_level():
+    # A cycle of module-level imports fails at import; one hidden inside a
+    # function would not, so the library keeps every import at the top.
+    nested = set()
+    for path in sorted((ROOT / "src" / "pdqsort").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                imports = (n for n in ast.walk(func) if isinstance(n, (ast.Import, ast.ImportFrom)))
+                nested.update(f"{path.name}:{node.lineno}" for node in imports)
+    assert nested == set()
 
 
 def test_every_test_helper_is_read():
