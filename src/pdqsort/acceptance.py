@@ -213,7 +213,7 @@ def _doubling(name, build, cfg, exps, per_n, min_ratio, problems):
         expected = sorted(arr)
         m = instrumented_sort(arr, config=cfg)
         if arr != expected:
-            problems.append(f"{name} n=2^{e} unsorted")
+            problems.append(f"{name} n=2^{e} unsorted or not a permutation")
         if per_n is not None and m.comparisons > per_n * n:
             problems.append(f"{name} n=2^{e}: {m.comparisons} > {per_n}n={per_n * n}")
         counts.append(m.comparisons)
@@ -280,7 +280,7 @@ def criterion_pivot_reuse(quick: bool = False):
             if partitions > 2 * k + m.heapsort_fallbacks:
                 violations.append(f"trial {t}/{label}: {partitions} partitions for k={k}")
             if work != sorted(arr):
-                violations.append(f"trial {t}/{label}: unsorted")
+                violations.append(f"trial {t}/{label}: unsorted or not a permutation")
     return f"{trials} trials on each kernel", violations
 
 
@@ -325,7 +325,7 @@ def criterion_worst_case(quick: bool = False):
             m = instrumented_sort(work, config=cfg)
             worst_ratio = max(worst_ratio, m.comparisons / (n * math.log2(n)))
             if work != sorted(arr):
-                problems.append(f"{name}/{label} n=2^{e} unsorted")
+                problems.append(f"{name}/{label} n=2^{e} unsorted or not a permutation")
             if m.comparisons > 20 * n * math.log2(n):
                 problems.append(f"{name}/{label} n=2^{e}: {m.comparisons} > 20 n log2 n")
     return f"worst comparisons/(n log2 n) = {worst_ratio:.2f} (gate 20)", problems

@@ -63,8 +63,8 @@ ALGORITHMS: dict[str, Callable] = {
 def run_benchmark(
     algos: Sequence[str],
     specs: Iterable[DistributionSpec],
-    min_time: float = 1.0,
-    min_iterations: int = 10,
+    min_time: float,
+    min_iterations: int,
 ) -> list:
     """Run every (spec, algo) cell sequentially and return the records.
 

@@ -29,17 +29,9 @@ DEFAULT_SIZES = "1024..1048576:4"
 DEFAULT_SEED = 0xDE5C
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; the interface reserves 2 for
-    # verification failures, so remap.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _checked(parse, *args):
     """argparse ``type=`` for ``parse(text, *args)``: a ValueError from it
-    is a usage error, which ``_Parser.error`` reports against the flag."""
+    is a usage error, which argparse reports against the flag."""
 
     def convert(text: str):
         try:
@@ -101,8 +93,8 @@ def _parse_duration(text: str) -> float:
     return seconds
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="pdqsort", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="pdqsort", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("bench", help="run the benchmark matrix")
@@ -200,7 +192,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits with 2 on bad usage, which here means a failed
+        # verification.
+        return 1 if exc.code == 2 else exc.code
     return args.run(args)
 
 

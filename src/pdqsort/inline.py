@@ -19,16 +19,17 @@ name the source's lines, the inline branch's that of the ``lt(...)``
 call.
 
 The source is read through the module's loader, so a package imported
-from a zip is generated as from a directory. Where there is no source (a
-tree of ``.pyc`` files only), the function as written serves every
-call: the same results and counts, but slower, as it tests ``metrics``
-at each counter statement and calls ``lt`` for every comparison.
+from a zip is generated as from a directory, and each kernel is parsed
+from its own first line on. With no source (a tree of ``.pyc`` files
+only), or a source that does not hold the kernel there, the function as
+written serves every call: the same results and counts, but slower, as
+it tests ``metrics`` at each counter statement and calls ``lt`` for
+every comparison.
 """
 
 import __future__
 import ast
 import copy
-import functools
 import linecache
 import operator
 
@@ -75,50 +76,37 @@ def _rewrite(node, inline):
     return node
 
 
-@functools.lru_cache(maxsize=1)
-def _module_tree(filename):
-    """The syntax tree of one kernel module, parsed once for all of its
-    kernels, which it decorates one after another."""
-    return ast.parse("".join(linecache.getlines(filename)), filename)
-
-
 def inline_lt(kernel):
     """Decorator: ``kernel`` with its uncounted and built-in ``<``
     branches generated."""
     filename = kernel.__code__.co_filename
-    # Caches the source for _module_tree, through the module's loader if
-    # it is not a file on disk (a zip's loader has it; a .pyc's has not).
-    linecache.getlines(filename, kernel.__globals__)
     # A decorated function's code starts at its first decorator's line.
     first = kernel.__code__.co_firstlineno
-    found = [
-        node
-        for node in _module_tree(filename).body
-        if isinstance(node, ast.FunctionDef)
-        and node.name == kernel.__name__
-        and node.decorator_list
-        and node.decorator_list[0].lineno == first
-    ]
-    if not found:
-        # No source: the function as written serves every call. It is
-        # correct, as every counter statement in it is guarded, but slower.
+    # The source, through the module's loader if it is not a file on disk
+    # (a zip's loader has it; a .pyc's has not), from the kernel's first
+    # line on; blank lines in front keep the module's line numbers.
+    lines = linecache.getlines(filename, kernel.__globals__)[first - 1 :]
+    try:
+        kernel_def = ast.parse("\n" * (first - 1) + "".join(lines), filename).body[0]
+    except (SyntaxError, IndexError):
+        kernel_def = None
+    if not isinstance(kernel_def, ast.FunctionDef) or kernel_def.name != kernel.__name__:
+        # No source, or not this kernel's at its line: the function as
+        # written serves every call. It is correct, as every counter
+        # statement in it is guarded, but slower.
         return kernel
-    (found,) = found
-    # The cached tree stays as parsed: the three branches share its nodes
-    # wherever they do not differ.
-    start = 1 if ast.get_docstring(found) else 0
-    counted = found.body[start:]
+    start = 1 if ast.get_docstring(kernel_def) else 0
+    counted = kernel_def.body[start:]
     uncounted = _rewrite(ast.Module(counted, []), False).body
     inline = _rewrite(ast.Module(counted, []), True).body
     branch = ast.parse("if metrics is None:\n if lt is builtin_lt: 0\n else: 0\nelse: 0").body[0]
     # The branch tests sit on the def line: a line event there is no
     # statement of the body.
     for node in ast.walk(branch):
-        ast.copy_location(node, found)
+        ast.copy_location(node, kernel_def)
     branch.body[0].body, branch.body[0].orelse, branch.orelse = inline, uncounted, counted
-    kernel_def = copy.copy(found)
     kernel_def.decorator_list = []
-    kernel_def.body = found.body[:start] + [branch]
+    kernel_def.body = kernel_def.body[:start] + [branch]
     # The branch test reads operator.lt from a closure cell of this factory.
     tree = ast.parse(f"def factory(builtin_lt):\n    return {kernel.__name__}")
     tree.body[0].body.insert(0, kernel_def)

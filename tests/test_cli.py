@@ -92,6 +92,7 @@ class TestBench:
             ["--min-time", "inf"],
             ["--min-time", "1e400"],
             ["--min-time=-1s"],
+            ["--sizes=-3"],
         ],
     )
     def test_usage_errors_exit_1(self, tmp_path, flags, capsys):

@@ -34,6 +34,14 @@ def _stub_sort(sorts, counters):
     return stub
 
 
+def test_criterion_1_fails_a_sort_that_leaves_a_list_unsorted(monkeypatch):
+    reverse = lambda data, lt, config: data.sort(reverse=True)  # noqa: E731
+    monkeypatch.setattr(acceptance, "sort_with", reverse)
+    result = acceptance.check(1, quick=True)
+    assert not result.passed
+    assert "; first: ('uniform', 'int64', 2, SortConfig(" in result.details
+
+
 def test_criterion_3_fails_without_partition_left(monkeypatch):
     monkeypatch.setattr(
         acceptance, "KERNEL_CONFIGS", (("noleft", SortConfig(use_partition_left=False)),)
@@ -41,6 +49,23 @@ def test_criterion_3_fails_without_partition_left(monkeypatch):
     result = acceptance.check(3, quick=True)
     assert not result.passed
     assert "; first: ones/noleft n=2^10: 20914 > 8n=8192" in result.details
+
+
+def test_criterion_3_fails_a_superlinear_count(monkeypatch):
+    quadratic = lambda n: {"comparisons": n * n // 1024}  # noqa: E731
+    monkeypatch.setattr(acceptance, "instrumented_sort", _stub_sort(True, quadratic))
+    result = acceptance.check(3, quick=True)
+    assert not result.passed
+    assert "; first: mod8/scalar ratio 2^11/2^10 = 4.000" in result.details
+
+
+def test_criterion_4_fails_without_partition_left(monkeypatch):
+    monkeypatch.setattr(
+        acceptance, "KERNEL_CONFIGS", (("noleft", SortConfig(use_partition_left=False)),)
+    )
+    result = acceptance.check(4, quick=True)
+    assert not result.passed
+    assert "; first: trial 0/noleft: value picked 8 times" in result.details
 
 
 def test_criterion_5_fails_without_partial_insertion(monkeypatch):
@@ -87,12 +112,26 @@ def test_criterion_6_fails_a_count_past_its_bound(monkeypatch):
     assert "> 20 n log2 n" in result.details
 
 
+def test_criterion_6_fails_an_adversary_that_is_not_a_permutation(monkeypatch):
+    monkeypatch.setattr(acceptance, "adversary_input", lambda n: [0] * n)
+    result = acceptance.check(6, quick=True)
+    assert not result.passed
+    assert "; first: adversary n=2^10 not a permutation" in result.details
+
+
 def test_criterion_7_fails_a_depth_past_its_bound(monkeypatch):
     deep = lambda n: {"max_depth": 99}  # noqa: E731
     monkeypatch.setattr(acceptance, "instrumented_sort", _stub_sort(True, deep))
     result = acceptance.check(7, quick=True)
     assert not result.passed
     assert "; first: n=64/scalar: depth 99 > " in result.details
+
+
+def test_criterion_8_fails_a_wrong_table(monkeypatch):
+    monkeypatch.setattr(acceptance, "slowdown_table", lambda ps: [(p, 1.01) for p in ps])
+    result = acceptance.check(8, quick=True)
+    assert not result.passed
+    assert result.details.endswith("; 3 failures; first: slowdown(0.5) = 1.01 != 1.0")
 
 
 def test_criterion_9_fails_when_one_counter_differs(monkeypatch):

@@ -5,10 +5,14 @@ import time. From a zip it reads the source through the zip's loader and
 generates the same branches as from a directory. A tree without sources
 has none to read: each kernel then runs as written, with the same
 results and counts. Each layout is imported in a fresh interpreter, and
-its output and counters are compared with those of the source tree.
+its output and counters are compared with those of the source tree. A
+kernel whose source does not hold it at its first line runs as written
+too.
 """
 
 import json
+import linecache
+import operator
 import shutil
 import subprocess
 import sys
@@ -16,6 +20,8 @@ import zipfile
 from pathlib import Path
 
 import pytest
+
+from pdqsort.inline import inline_lt
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -101,3 +107,32 @@ def test_tree_without_sources_runs_the_kernels_as_written(tmp_path, from_source)
     assert report["counters"] == from_source["counters"]
     # No branch was generated: every comparison calls operator.lt.
     assert report["lt_calls"] > 0
+
+
+# The kernel's first line, its decorator's, is line 2.
+KERNEL_SOURCE = """
+@inline_lt
+def smaller(a, b, lt, metrics):
+    return b if lt(b, a) else a
+"""
+
+
+@pytest.mark.parametrize(
+    "stale",
+    [
+        # Another function's body must not serve the kernel.
+        "\ndef larger(a, b, lt, metrics):\n    return a if lt(b, a) else b\n",
+        # A line inside a block does not parse on its own.
+        "if a < b:\n    a, b = b, a\n",
+    ],
+    ids=["another_def", "inside_a_block"],
+)
+def test_kernel_whose_source_line_holds_something_else_runs_as_written(monkeypatch, stale):
+    filename = "<stale kernel source>"
+    lines = stale.splitlines(keepends=True)
+    monkeypatch.setitem(linecache.cache, filename, (len(stale), None, lines, filename))
+    namespace = {"inline_lt": inline_lt}
+    exec(compile(KERNEL_SOURCE, filename, "exec"), namespace)
+    smaller = namespace["smaller"]
+    assert "builtin_lt" not in smaller.__code__.co_freevars
+    assert smaller(2, 1, operator.lt, None) == smaller(1, 2, operator.lt, None) == 1
